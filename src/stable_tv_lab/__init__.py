@@ -33,8 +33,6 @@ from stable_tv_lab.sde import (
     drift_registry,
     probe_h1,
     probe_h2,
-    integrate_bm,
-    integrate_stable,
     run_ensemble,
     mc_semigroup,
 )
@@ -62,7 +60,6 @@ from stable_tv_lab.pde import (
     frac_laplacian_1d,
     generator_q,
     generator_p,
-    mu_h_estimate,
     poisson_solution,
     lin_norm_diff,
 )

@@ -33,7 +33,7 @@ from stable_tv_lab.pde import (
     poisson_solution_grid,
 )
 from stable_tv_lab.rng import RngStream
-from stable_tv_lab.sde import EulerConfig, drift_registry, mc_semigroup
+from stable_tv_lab.sde import EulerConfig, drift_registry, mc_semigroup, run_ensemble
 from stable_tv_lab.stable_sampling import (
     SampleSet,
     StableSpec,
@@ -85,6 +85,8 @@ class ExperimentConfig:
         unknown = set(self.params) - set(DEFAULT_PARAMS[self.campaign])
         if unknown:
             raise ValueError(f"params.{unknown.pop()}: unknown key for campaign {self.campaign}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.params = merged
 
     @classmethod
@@ -264,31 +266,25 @@ def _ou_rate(cfg, checks, data):
     )
 
 
-def coupled_ergodic_pair(alpha, t, dt, n, rng: RngStream):
+def coupled_ergodic_pair(alpha, t, dt, n, rng: RngStream, workers: int = 1):
     """Stable and Brownian OU endpoints driven by shared Gaussians.
 
     The coupling (common random numbers) strips most MC noise from the
     difference of cos/sin means, which is what the TV lower bound uses.
     Paths are simulated in fixed blocks so output ignores worker count.
     """
-    from stable_tv_lab.sde import BLOCK_SIZE
-
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    xs, ys = [], []
-    steps = int(round(t / dt))
-    for i in range(n_blocks):
-        m = min(BLOCK_SIZE, n - i * BLOCK_SIZE)
-        sub = rng.substream(i)
-        x = np.zeros(m)
-        y = np.zeros(m)
-        for _ in range(steps):
-            z = sub.normal(m)
-            s = sample_subordinator(SubordinatorSpec(alpha, dt), sub, size=m)
-            x = x - x * dt + np.sqrt(s) * z
-            y = y - y * dt + np.sqrt(dt) * z
-        xs.append(x)
-        ys.append(y)
-    return np.concatenate(xs), np.concatenate(ys)
+    ens = run_ensemble(
+        drift_registry("ou"),
+        EulerConfig(dt=dt, scheme="subordinated"),
+        ("coupled", alpha),
+        [0.0],
+        t,
+        n,
+        rng,
+        workers=workers,
+    )
+    x, y = ens.endpoints[..., 0]
+    return x, y
 
 
 @_campaign("tv-theorem")
@@ -302,7 +298,7 @@ def _tv_theorem(cfg, checks, data):
     prev = None
     floor = None
     for k, alpha in enumerate(alphas):
-        x, y = coupled_ergodic_pair(alpha, t, dt, n, RngStream(cfg.seed, 1000 + k))
+        x, y = coupled_ergodic_pair(alpha, t, dt, n, RngStream(cfg.seed, 1000 + k), workers=cfg.workers)
         a_set, b_set = SampleSet(x), SampleSet(y)
         lb = tv_cf_lower_bound(a_set, b_set, xis)
         stv = tv_from_samples_1d(a_set, b_set, 64)
@@ -404,8 +400,8 @@ def _gradient_probe(cfg, checks, data):
             cfg_e = EulerConfig(dt=t / 50.0, scheme="brownian" if driver == "brownian" else "subordinated")
             drv = "brownian" if driver == "brownian" else ("stable", alpha)
             rng = RngStream(cfg.seed, base_stream + k)
-            plus, _ = mc_semigroup(h, ou, drv, [eps], t, n, rng.fresh(), cfg=cfg_e)
-            minus, _ = mc_semigroup(h, ou, drv, [-eps], t, n, rng.fresh(), cfg=cfg_e)
+            plus, _ = mc_semigroup(h, ou, drv, [eps], t, n, rng.fresh(), cfg=cfg_e, workers=cfg.workers)
+            minus, _ = mc_semigroup(h, ou, drv, [-eps], t, n, rng.fresh(), cfg=cfg_e, workers=cfg.workers)
             g = abs(plus - minus) / (2.0 * eps)
             grads.append(g)
             rows.append([driver, alpha, t, g])
@@ -421,7 +417,7 @@ def _gradient_probe(cfg, checks, data):
     for t in ts:
         est, _ = mc_semigroup(np.cos, ou, ("stable", float(p["alpha"][0])), [0.3], t, 20_000,
                               RngStream(cfg.seed, 9000 + int(1e6 * t)),
-                              cfg=EulerConfig(dt=t / 20.0, scheme="subordinated"))
+                              cfg=EulerConfig(dt=t / 20.0, scheme="subordinated"), workers=cfg.workers)
         bound_ok = bound_ok and abs(est) <= 1.1
     _check_true(checks, "smooth-h-no-blowup", bound_ok)
     data["gradient_probe"] = rows

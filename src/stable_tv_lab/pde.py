@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from stable_tv_lab.constants import a_const
 from stable_tv_lab.ou import semigroup_cos
 from stable_tv_lab.rng import RngStream
-from stable_tv_lab.sde import DriftField, EulerConfig, run_ensemble
+from stable_tv_lab.sde import DriftField, EulerConfig, advance
 
 
 @dataclass(frozen=True)
@@ -216,14 +216,6 @@ def generator_p(f: GridFunction, drift: DriftField, alpha: float, x: float) -> f
     return bx * f.deriv1(x) + frac_laplacian_1d(f, alpha, x)
 
 
-def mu_h_estimate(h, drift, driver, t_burn, n, rng, cfg: EulerConfig | None = None):
-    """Monte Carlo mean of h under the near-ergodic law at time t_burn."""
-    from stable_tv_lab.sde import mc_semigroup
-
-    x0 = np.zeros(drift.d)
-    return mc_semigroup(h, drift, driver, x0, t_burn, n, rng, cfg=cfg)
-
-
 class TailToleranceError(RuntimeError):
     """Integrand at t_max still above the declared tolerance."""
 
@@ -276,48 +268,20 @@ def poisson_solution(
     if engine != "mc":
         raise ValueError(f"unknown engine {engine!r}")
     if prob.mu_h is None:
-        raise ValueError("mc engine needs mu_h (supply it or use mu_h_estimate)")
+        raise ValueError("mc engine needs mu_h (supply it, e.g. from mc_semigroup at a long horizon)")
     rng = rng or RngStream(0, 0)
     T = t_max if t_max is not None else 10.0
     nodes = np.linspace(0.0, T, quad_steps + 1)
     driver = "brownian" if alpha == 2.0 else ("stable", alpha)
-    scheme = "brownian" if alpha == 2.0 else "subordinated"
+    cfg = EulerConfig(dt=dt, scheme="brownian" if alpha == 2.0 else "subordinated")
     # one shared path ensemble, advanced node to node
     state = np.full((n_paths, prob.drift.d), float(x))
-    from stable_tv_lab.sde import _parse_driver, _simulate_block
-
-    kind, a = _parse_driver(driver)
-    cfg = EulerConfig(dt=dt, scheme=scheme)
     means = [float(np.mean(prob.h(state[:, 0]))) - prob.mu_h]
     sub = rng.substream(0)
     for k in range(quad_steps):
-        dt_node = nodes[k + 1] - nodes[k]
-        state = _simulate_block_from(prob.drift, cfg, kind, a, state, dt_node, sub)
+        advance(state, nodes[k + 1] - nodes[k], prob.drift, driver, cfg, sub)
         means.append(float(np.mean(prob.h(state[:, 0]))) - prob.mu_h)
     return float(-simpson(np.array(means), x=nodes))
-
-
-def _simulate_block_from(drift, cfg, kind, alpha, state, t, rng):
-    """Advance an existing (n, d) state array by time t (Euler-Maruyama)."""
-    from stable_tv_lab.sde import IntegrationError, _stable_increments
-
-    n, d = state.shape
-    dt = cfg.step_size(max(t, 1e-12))
-    x = state
-    remaining = t
-    step = 0
-    while remaining > 1e-15:
-        hstep = min(dt, remaining)
-        if kind == "brownian":
-            dl = np.sqrt(hstep) * rng.normal((n, d))
-        else:
-            dl = _stable_increments(alpha, hstep, d, n, cfg.scheme, rng)
-        x = x + drift.b(x) * hstep + dl
-        if not np.all(np.isfinite(x)):
-            raise IntegrationError(step)
-        remaining -= hstep
-        step += 1
-    return x
 
 
 def poisson_solution_grid(

@@ -3,19 +3,22 @@
     dX_t = b(X_t) dt + sigma dL_t      (stable driver, 1 < alpha < 2)
     dY_t = b(Y_t) dt + sigma dB_t      (Brownian driver)
 
-Driver increments are exact in law at every step (the only discretization
-error is in the drift term), which keeps the alpha -> 2 comparison clean.
-Paths are simulated in fixed-size blocks with per-block substreams, so
-ensembles are bit-identical regardless of the worker count.
+One stepper, advance, integrates every path the lab simulates: the
+ensembles of run_ensemble (and so mc_semigroup and the campaigns), the
+coupled driver ('coupled', alpha), which moves a stable and a Brownian
+path on shared Gaussians, and the shared state of the Monte Carlo Poisson
+engine.  Driver increments are exact in law at every step (the only
+discretization error is in the drift term), which keeps the alpha -> 2
+comparison clean.  Paths are simulated in fixed-size blocks with
+per-block substreams, so ensembles are bit-identical regardless of the
+worker count; campaigns pass their `workers` setting through.
 """
 
 from __future__ import annotations
 
-import csv
-import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -120,22 +123,13 @@ class EulerConfig:
 
 @dataclass(frozen=True)
 class Ensemble:
-    endpoints: np.ndarray  # (n, d)
+    endpoints: np.ndarray  # (n, d); (2, n, d) for a coupled driver: stable, then Brownian
     t: float
     provenance: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
-        return self.endpoints.shape[0]
-
-    def to_csv(self, path) -> None:
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i + 1}" for i in range(self.endpoints.shape[1])])
-            writer.writerows(self.endpoints.tolist())
-        with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-            json.dump({**self.provenance, "t": self.t, "n": self.n}, fh, indent=2)
+        return self.endpoints.shape[-2]
 
 
 def probe_h1(drift: DriftField, pairs) -> float:
@@ -191,67 +185,63 @@ def probe_h2(drift: DriftField, points, fd_step: float = 1e-5, rng: RngStream | 
     return theta1_hat, theta2_hat
 
 
-def _parse_driver(driver):
-    """'brownian' or ('stable', alpha) -> (kind, alpha)."""
+def _check_run(driver, cfg: EulerConfig, t: float):
+    """Validate one Euler run; 'brownian', ('stable', alpha) or ('coupled', alpha) -> (kind, alpha)."""
+    if t <= 0.0:
+        raise ValueError(f"t must be positive, got {t}")
     if driver == "brownian":
         return "brownian", 2.0
-    if isinstance(driver, (tuple, list)) and len(driver) == 2 and driver[0] == "stable":
+    if isinstance(driver, (tuple, list)) and len(driver) == 2 and driver[0] in ("stable", "coupled"):
         alpha = float(driver[1])
         if not 1.0 < alpha < 2.0:
-            raise ValueError(f"stable driver needs alpha in (1, 2), got {alpha}")
-        return "stable", alpha
-    raise ValueError(f"driver must be 'brownian' or ('stable', alpha), got {driver!r}")
+            raise ValueError(f"{driver[0]} driver needs alpha in (1, 2), got {alpha}")
+        if cfg.scheme == "brownian":
+            raise ValueError(f"{driver[0]} driver needs a stable scheme, got 'brownian'")
+        return driver[0], alpha
+    raise ValueError(f"driver must be 'brownian', ('stable', alpha) or ('coupled', alpha), got {driver!r}")
 
 
-def _stable_increments(alpha: float, dt: float, d: int, n: int, scheme: str, rng: RngStream):
-    """Exact-in-law driver increments over one step, shape (n, d)."""
-    if scheme == "direct-stable" and d == 1:
-        return sample_sym_stable(StableSpec(alpha, dt), rng, size=n)[:, None]
-    # subordinated (and the d > 1 direct route, which is subordination too)
-    s = sample_subordinator(SubordinatorSpec(alpha, dt), rng, size=n)
-    return np.sqrt(s)[:, None] * rng.normal((n, d))
+def _increments(kind: str, alpha: float, h: float, n: int, d: int, scheme: str, rng: RngStream):
+    """Exact-in-law driver increments over one step of size h, one (n, d) array per path."""
+    if kind == "brownian":
+        return [np.sqrt(h) * rng.normal((n, d))]
+    if kind == "stable" and scheme == "direct-stable" and d == 1:
+        return [sample_sym_stable(StableSpec(alpha, h), rng, size=n)[:, None]]
+    if kind == "stable":  # subordinated, and the d > 1 direct route, which is subordination too
+        s = sample_subordinator(SubordinatorSpec(alpha, h), rng, size=n)
+        return [np.sqrt(s)[:, None] * rng.normal((n, d))]
+    # coupled: the Gaussians first, then the subordinator
+    z = rng.normal((n, d))
+    s = sample_subordinator(SubordinatorSpec(alpha, h), rng, size=n)
+    return [np.sqrt(s)[:, None] * z, np.sqrt(h) * z]
 
 
-def _simulate_block(drift, cfg, kind, alpha, x0, t, rng, n):
-    """Euler-Maruyama for n paths at once; returns (n, d) endpoints."""
-    d = drift.d
+def advance(state: np.ndarray, t: float, drift: DriftField, driver, cfg: EulerConfig, rng: RngStream) -> None:
+    """Advance paths in place by time t with Euler-Maruyama.
+
+    state is (n, d), or (2, n, d) for ('coupled', alpha): a stable path and
+    a Brownian path on shared Gaussians z, with increments sqrt(S) z and
+    sqrt(h) z (the coupled driver always subordinates).  It takes
+    ceil(t/dt - 1e-9) steps of dt = cfg.step_size(t), the last of them cut
+    to what remains of t, so the horizon is t: a remainder of at most 1e-9
+    of a step is round-off and takes no step of its own.  Raises
+    IntegrationError when a state becomes non-finite.
+    """
+    kind, alpha = _check_run(driver, cfg, t)
     dt = cfg.step_size(t)
-    sigma = cfg.sigma
-    x = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (n, d)).copy()
+    paths = state if kind == "coupled" else state[None]
+    n, d = paths.shape[1:]
     remaining = t
-    step = 0
-    while remaining > 1e-15:
-        h = min(dt, remaining)  # last partial step hits t exactly
-        if kind == "brownian":
-            dl = np.sqrt(h) * rng.normal((n, d))
-        else:
-            dl = _stable_increments(alpha, h, d, n, cfg.scheme, rng)
-        if sigma is not None:
-            dl = dl @ sigma.T
-        x = x + drift.b(x) * h + dl
-        if not np.all(np.isfinite(x)):
+    for step in range(math.ceil(t / dt - 1e-9)):
+        h = min(dt, remaining)
+        for x, dl in zip(paths, _increments(kind, alpha, h, n, d, cfg.scheme, rng)):
+            if cfg.sigma is not None:
+                dl = dl @ cfg.sigma.T
+            x += drift.b(x) * h
+            x += dl
+        if not np.isfinite(state).all():
             raise IntegrationError(step)
         remaining -= h
-        step += 1
-    return x
-
-
-def integrate_bm(drift: DriftField, cfg: EulerConfig, x0, t: float, rng: RngStream):
-    """Single Brownian-SDE endpoint."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    return _simulate_block(drift, cfg, "brownian", 2.0, x0, t, rng, 1)[0]
-
-
-def integrate_stable(drift: DriftField, cfg: EulerConfig, alpha: float, x0, t: float, rng: RngStream):
-    """Single stable-SDE endpoint (scheme per cfg: direct-stable or subordinated)."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"alpha must be in (1, 2), got {alpha}")
-    if cfg.scheme == "brownian":
-        raise ValueError("integrate_stable needs a stable scheme")
-    return _simulate_block(drift, cfg, "stable", alpha, x0, t, rng, 1)[0]
 
 
 def run_ensemble(
@@ -271,22 +261,26 @@ def run_ensemble(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    kind, alpha = _parse_driver(driver)
+    kind, alpha = _check_run(driver, cfg, t)
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     sizes = [min(BLOCK_SIZE, n - i * BLOCK_SIZE) for i in range(n_blocks)]
+    start = np.atleast_1d(np.asarray(x0, dtype=float))
+    lead = (2,) if kind == "coupled" else ()
 
     def job(i):
-        return _simulate_block(drift, cfg, kind, alpha, x0, t, rng.substream(i), sizes[i])
+        state = np.broadcast_to(start, lead + (sizes[i], drift.d)).copy()
+        advance(state, t, drift, driver, cfg, rng.substream(i))
+        return state
 
     if workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(job, range(n_blocks)))
     else:
         blocks = [job(i) for i in range(n_blocks)]
-    endpoints = np.concatenate(blocks, axis=0)
+    endpoints = np.concatenate(blocks, axis=-2)
     prov = {
         "drift": drift.name,
-        "driver": "brownian" if kind == "brownian" else f"stable({alpha})",
+        "driver": kind if kind == "brownian" else f"{kind}({alpha})",
         "dt": cfg.step_size(t),
         "scheme": cfg.scheme if kind != "brownian" else "brownian",
         "seed": rng.root_seed,
@@ -298,9 +292,10 @@ def run_ensemble(
 
 def mc_semigroup(h, drift, driver, x, t, n, rng, cfg: EulerConfig | None = None, workers: int = 1):
     """Monte Carlo estimate of P_t h(x) (or Q_t h(x)) with its std error."""
-    kind, _ = _parse_driver(driver)
+    if isinstance(driver, (tuple, list)) and driver[0] == "coupled":
+        raise ValueError("mc_semigroup needs a single driver, not a coupled one")
     if cfg is None:
-        cfg = EulerConfig(scheme="brownian" if kind == "brownian" else "subordinated")
+        cfg = EulerConfig(scheme="brownian" if driver == "brownian" else "subordinated")
     ens = run_ensemble(drift, cfg, driver, x, t, n, rng, workers=workers)
     vals = np.asarray(h(ens.endpoints[:, 0] if drift.d == 1 else ens.endpoints), dtype=float)
     est = float(np.mean(vals))

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from stable_tv_lab import campaigns
 from stable_tv_lab.campaigns import (
     CAMPAIGNS,
     DEFAULT_PARAMS,
@@ -12,6 +13,7 @@ from stable_tv_lab.campaigns import (
     run_campaign,
 )
 from stable_tv_lab.cli import main
+from stable_tv_lab.sde import BLOCK_SIZE
 
 SMALL_SAMPLERS = {"alpha": [1.5], "t": [1.0], "xi": [1.0], "n": 40_000}
 
@@ -26,9 +28,34 @@ def test_config_validation():
         ExperimentConfig("not-a-campaign")
     with pytest.raises(ValueError):
         ExperimentConfig("constants", params={"bogus": 1})
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            ExperimentConfig("constants", workers=workers)
     cfg = ExperimentConfig("constants", params={"d": [2]})
     assert cfg.params["d"] == [2]
     assert cfg.params["alpha"] == DEFAULT_PARAMS["constants"]["alpha"]  # merged
+
+
+@pytest.mark.parametrize("campaign", ["tv-theorem", "gradient-probe"])
+def test_workers_reach_the_campaign_and_change_nothing(campaign, monkeypatch):
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            seen.append(kwargs.get("workers", 1))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(campaigns, "run_ensemble", spy(campaigns.run_ensemble))
+    monkeypatch.setattr(campaigns, "mc_semigroup", spy(campaigns.mc_semigroup))
+    params = {"n": 2 * BLOCK_SIZE + 5}
+    one = run_campaign(ExperimentConfig(campaign, params=params, workers=1))
+    seen.clear()
+    two = run_campaign(ExperimentConfig(campaign, params=params, workers=2))
+    assert seen and set(seen) == {2}
+    assert one.checks == two.checks
+    assert one.data == two.data
 
 
 def test_config_from_file_with_overrides(tmp_path):

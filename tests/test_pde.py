@@ -19,7 +19,6 @@ from stable_tv_lab import (
     generator_p,
     generator_q,
     lin_norm_diff,
-    mu_h_estimate,
     poisson_solution,
 )
 from stable_tv_lab.pde import poisson_solution_grid
@@ -152,11 +151,6 @@ def test_poisson_engine_validation():
         poisson_solution(PoissonProblem(h=np.cos, alpha=1.5, drift=drift_registry("zero")), 0.0)
     with pytest.raises(ValueError):
         PoissonProblem(h=np.cos, alpha=1.0, drift=OU)
-
-
-def test_mu_h_estimate_matches_ergodic_mean():
-    est, se = mu_h_estimate(np.cos, OU, "brownian", t_burn=8.0, n=100_000, rng=RngStream(6, 0))
-    assert est == pytest.approx(math.exp(-0.25), abs=4 * se + 0.01)
 
 
 def test_lin_norm_diff_requires_matching_grids():

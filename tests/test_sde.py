@@ -11,8 +11,6 @@ from stable_tv_lab import (
     EulerConfig,
     RngStream,
     drift_registry,
-    integrate_bm,
-    integrate_stable,
     mc_semigroup,
     probe_h1,
     probe_h2,
@@ -108,17 +106,48 @@ def test_direct_and_subordinated_schemes_agree_in_law():
         assert abs(ca - np.exp(-t * xi**alpha / 2.0)) < 4.0 / np.sqrt(n)
 
 
-def test_single_path_wrappers():
-    y = integrate_bm(drift_registry("ou"), EulerConfig(dt=0.01), [1.0], 1.0, RngStream(0, 0))
-    assert y.shape == (1,) and np.isfinite(y).all()
-    x = integrate_stable(
-        drift_registry("ou"), EulerConfig(dt=0.01, scheme="subordinated"), 1.5, [1.0], 1.0, RngStream(0, 1)
-    )
-    assert x.shape == (1,) and np.isfinite(x).all()
-    with pytest.raises(ValueError):
-        integrate_stable(drift_registry("ou"), EulerConfig(scheme="brownian"), 1.5, [1.0], 1.0, RngStream(0, 2))
-    with pytest.raises(ValueError):
-        integrate_bm(drift_registry("ou"), EulerConfig(), [0.0], -1.0, RngStream(0, 3))
+def test_steps_land_exactly_on_the_horizon():
+    # unit drift and zero noise: the path records the time of every step
+    class ZeroNoise:
+        root_seed = stream_index = 0
+
+        def substream(self, index):
+            return self
+
+        def normal(self, size):
+            return np.zeros(size)
+
+    times = []
+
+    def unit(x):
+        times.append(float(x[0, 0]))
+        return np.ones_like(x)
+
+    drift = DriftField(b=unit, d=1, theta0=0.0, name="unit")
+    for t, dt, n_steps, last in [(5.0, 0.01, 500, 0.01), (5.0, 0.03, 167, 0.02)]:
+        times.clear()
+        ens = run_ensemble(drift, EulerConfig(dt=dt, scheme="brownian"), "brownian", [0.0], t, 1, ZeroNoise())
+        steps = np.diff(times + [ens.endpoints[0, 0]])
+        assert len(times) == n_steps
+        assert steps[-1] == pytest.approx(last, abs=1e-12)
+        assert abs(ens.endpoints[0, 0] - t) < 1e-12
+
+
+@pytest.mark.parametrize("driver", ["brownian", ("stable", 1.5), ("coupled", 1.5)])
+def test_sigma_scales_every_driver(driver):
+    # zero drift, sigma = 2: Brownian endpoints N(0, 4t), stable CF exp(-t |2 xi|^alpha / 2)
+    t, n = 1.0, 40_000
+    cfg = EulerConfig(dt=0.1, scheme="brownian" if driver == "brownian" else "subordinated", sigma=[[2.0]])
+    ens = run_ensemble(drift_registry("zero"), cfg, driver, [0.0], t, n, RngStream(30, 0))
+    coupled = driver[0] == "coupled"
+    paths = ens.endpoints[..., 0] if coupled else [ens.endpoints[:, 0]]
+    if driver != "brownian":
+        alpha = driver[1]
+        for xi in (0.5, 1.0):
+            cf = np.mean(np.cos(xi * paths[0]))
+            assert abs(cf - np.exp(-t * (2.0 * xi) ** alpha / 2.0)) < 4.0 / np.sqrt(n)
+    if driver == "brownian" or coupled:
+        assert np.var(paths[-1]) == pytest.approx(4.0 * t, rel=0.03)
 
 
 def test_explosive_drift_raises_integration_error():
@@ -128,10 +157,19 @@ def test_explosive_drift_raises_integration_error():
 
 
 def test_driver_parsing_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        run_ensemble(drift_registry("ou"), EulerConfig(), ("stable", 2.5), [0.0], 1.0, 16, RngStream(0, 0))
-    with pytest.raises(ValueError):
-        run_ensemble(drift_registry("ou"), EulerConfig(), "poisson", [0.0], 1.0, 16, RngStream(0, 0))
+    for cfg, driver, t in [
+        (EulerConfig(), ("stable", 2.5), 1.0),
+        (EulerConfig(), ("coupled", 1.0), 1.0),
+        (EulerConfig(), "poisson", 1.0),
+        (EulerConfig(scheme="brownian"), ("stable", 1.5), 1.0),  # would silently subordinate
+        (EulerConfig(scheme="brownian"), ("coupled", 1.5), 1.0),
+        (EulerConfig(), "brownian", 0.0),  # would silently return x0
+        (EulerConfig(), "brownian", -1.0),
+    ]:
+        with pytest.raises(ValueError):
+            run_ensemble(drift_registry("ou"), cfg, driver, [0.0], t, 16, RngStream(0, 0))
+    with pytest.raises(ValueError):  # a coupled ensemble has no single P_t h
+        mc_semigroup(np.cos, drift_registry("ou"), ("coupled", 1.5), [0.0], 1.0, 16, RngStream(0, 0))
 
 
 def test_mc_semigroup_matches_cosine_closed_form():
@@ -148,14 +186,3 @@ def test_mc_semigroup_matches_cosine_closed_form():
     )
     exact = semigroup_cos(alpha, x, t)
     assert abs(est - exact) < 4.0 * se + 0.01  # MC band + O(dt) drift bias
-
-
-def test_ensemble_to_csv_writes_sidecar(tmp_path):
-    ens = run_ensemble(
-        drift_registry("ou"), EulerConfig(dt=0.1, scheme="brownian"), "brownian", [0.0], 0.5, 32, RngStream(0, 0)
-    )
-    path = tmp_path / "ens.csv"
-    ens.to_csv(path)
-    assert path.exists() and path.with_suffix(".csv.json").exists()
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_allclose(data, ens.endpoints[:, 0])
