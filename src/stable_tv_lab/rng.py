@@ -35,17 +35,15 @@ class RngStream:
         return self._gen
 
     def substream(self, index: int) -> "RngStream":
-        """Derive an independent child stream.
+        """Derive a child stream keyed by a mix of parent and child index.
 
-        Children of distinct parents never collide because the child key
-        hashes both the parent index and the child index.
+        The mix is not collision-free in general.  The test suite checks the
+        indices campaigns use: children 0-127 of roots 0-199, 1000-1009 and
+        gradient-probe's 9000 + int(1e6 t) all have distinct keys, none of
+        which is a root index.
         """
         mixed = ((self.stream_index + 1) * 0x9E3779B97F4A7C15 + index + 1) & _MASK64
         return RngStream(self.root_seed, mixed)
-
-    def fresh(self) -> "RngStream":
-        """A rewound copy: same (root_seed, stream_index), counter at zero."""
-        return RngStream(self.root_seed, self.stream_index)
 
     # Convenience passthroughs used throughout the lab.
     def uniform(self, low=0.0, high=1.0, size=None):

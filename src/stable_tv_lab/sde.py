@@ -11,7 +11,9 @@ engine.  Driver increments are exact in law at every step (the only
 discretization error is in the drift term), which keeps the alpha -> 2
 comparison clean.  Paths are simulated in fixed-size blocks with
 per-block substreams, so ensembles are bit-identical regardless of the
-worker count; campaigns pass their `workers` setting through.
+worker count; campaigns pass their `workers` setting through.  Several
+start points given at once move on one set of increments per block
+(common random numbers), each exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -219,9 +221,12 @@ def _increments(kind: str, alpha: float, h: float, n: int, d: int, scheme: str, 
 def advance(state: np.ndarray, t: float, drift: DriftField, driver, cfg: EulerConfig, rng: RngStream) -> None:
     """Advance paths in place by time t with Euler-Maruyama.
 
-    state is (n, d), or (2, n, d) for ('coupled', alpha): a stable path and
-    a Brownian path on shared Gaussians z, with increments sqrt(S) z and
-    sqrt(h) z (the coupled driver always subordinates).  It takes
+    state is (..., n, d), or (2, ..., n, d) for ('coupled', alpha): a
+    stable path and a Brownian path on shared Gaussians z, with increments
+    sqrt(S) z and sqrt(h) z (the coupled driver always subordinates).  Each
+    step draws one (n, d) increment per driver and adds it to every index
+    of the leading axes, so m start points stacked as (m, n, d) share their
+    draws; drift.b sees the (-1, d) rows.  It takes
     ceil(t/dt - 1e-9) steps of dt = cfg.step_size(t), the last of them cut
     to what remains of t, so the horizon is t: a remainder of at most 1e-9
     of a step is round-off and takes no step of its own.  Raises
@@ -230,14 +235,14 @@ def advance(state: np.ndarray, t: float, drift: DriftField, driver, cfg: EulerCo
     kind, alpha = _check_run(driver, cfg, t)
     dt = cfg.step_size(t)
     paths = state if kind == "coupled" else state[None]
-    n, d = paths.shape[1:]
+    n, d = state.shape[-2:]
     remaining = t
     for step in range(math.ceil(t / dt - 1e-9)):
         h = min(dt, remaining)
         for x, dl in zip(paths, _increments(kind, alpha, h, n, d, cfg.scheme, rng)):
             if cfg.sigma is not None:
                 dl = dl @ cfg.sigma.T
-            x += drift.b(x) * h
+            x += drift.b(x.reshape(-1, d)).reshape(x.shape) * h
             x += dl
         if not np.isfinite(state).all():
             raise IntegrationError(step)
@@ -256,8 +261,13 @@ def run_ensemble(
 ) -> Ensemble:
     """n independent endpoints; output independent of the worker count.
 
-    Work is partitioned into fixed BLOCK_SIZE blocks, block i drawing from
-    rng.substream(i); blocks are concatenated in index order.
+    x0 is one start point, shape (d,), or m of them, shape (m, d); the
+    endpoints are (n, d) or (m, n, d), with a leading axis of 2 (stable,
+    then Brownian) for a coupled driver.  The m start points move on one
+    set of driver increments, so row j equals, bit for bit, the run from
+    x0[j] alone on the same stream.  Work is partitioned into fixed
+    BLOCK_SIZE blocks, block i drawing from rng.substream(i); blocks are
+    concatenated in index order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -265,7 +275,10 @@ def run_ensemble(
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     sizes = [min(BLOCK_SIZE, n - i * BLOCK_SIZE) for i in range(n_blocks)]
     start = np.atleast_1d(np.asarray(x0, dtype=float))
-    lead = (2,) if kind == "coupled" else ()
+    if start.ndim > 2:
+        raise ValueError(f"x0 must have shape (d,) or (m, d), got {start.shape}")
+    start = np.broadcast_to(start, start.shape[:-1] + (drift.d,))[..., None, :]
+    lead = ((2,) if kind == "coupled" else ()) + start.shape[:-2]
 
     def job(i):
         state = np.broadcast_to(start, lead + (sizes[i], drift.d)).copy()
@@ -291,13 +304,21 @@ def run_ensemble(
 
 
 def mc_semigroup(h, drift, driver, x, t, n, rng, cfg: EulerConfig | None = None, workers: int = 1):
-    """Monte Carlo estimate of P_t h(x) (or Q_t h(x)) with its std error."""
+    """Monte Carlo estimate of P_t h(x) (or Q_t h(x)) with its std error.
+
+    x is one start point, shape (d,), giving floats (est, se), or m start
+    points, shape (m, d), giving length-m arrays on common random numbers
+    (see run_ensemble).  h gets the endpoints with the d axis dropped when
+    d = 1, so it must be vectorized over the leading axes.
+    """
     if isinstance(driver, (tuple, list)) and driver[0] == "coupled":
         raise ValueError("mc_semigroup needs a single driver, not a coupled one")
     if cfg is None:
         cfg = EulerConfig(scheme="brownian" if driver == "brownian" else "subordinated")
     ens = run_ensemble(drift, cfg, driver, x, t, n, rng, workers=workers)
-    vals = np.asarray(h(ens.endpoints[:, 0] if drift.d == 1 else ens.endpoints), dtype=float)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
+    vals = np.asarray(h(ens.endpoints[..., 0] if drift.d == 1 else ens.endpoints), dtype=float)
+    est = np.mean(vals, axis=-1)
+    se = np.std(vals, axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.full(est.shape, np.inf)
+    if ens.endpoints.ndim == 2:
+        return float(est), float(se)
     return est, se

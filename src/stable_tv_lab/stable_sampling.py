@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -117,16 +118,46 @@ def _unit_sym_stable(alpha: float, rng: RngStream, size) -> np.ndarray:
     return s
 
 
-def _unit_pos_stable(rho: float, rng: RngStream, size) -> np.ndarray:
-    """Kanter/Zolotarev draw with Laplace transform exp(-r^rho), rho in (0,1)."""
-    theta = rng.uniform(0.0, np.pi, size)
-    w = rng.exponential(size)
+def _nonzero(draw, x):
+    """x with its exact zeros replaced by further draws of draw(size)."""
+    if np.ndim(x) == 0:
+        while x == 0.0:
+            x = draw(None)
+        return x
+    zero = x == 0.0
+    while zero.any():
+        x[zero] = draw(int(zero.sum()))
+        zero = x == 0.0
+    return x
+
+
+def _kanter(rho: float, theta, w):
     a = (
         np.sin((1.0 - rho) * theta)
         * np.sin(rho * theta) ** (rho / (1.0 - rho))
         / np.sin(theta) ** (1.0 / (1.0 - rho))
     )
     return (a / w) ** ((1.0 - rho) / rho)
+
+
+def _unit_pos_stable(rho: float, rng: RngStream, size) -> np.ndarray:
+    """Kanter/Zolotarev draw with Laplace transform exp(-r^rho), rho in (0,1).
+
+    theta = 0 gives 0/0 and w = 0 an infinite draw.  Both are null events
+    (probability ~2^-53 each), so when a draw is not finite the exact zeros
+    of theta and w are redrawn from the same stream and the transform
+    applied again: rejection, which leaves the law unchanged.  The check
+    is one max per array.  A draw made non-finite by under- or overflow of
+    the powers (rho near 1) is not a null event and is not redrawn.
+    """
+    theta = rng.uniform(0.0, np.pi, size)
+    w = rng.exponential(size)
+    s = _kanter(rho, theta, w)
+    if s.size and not math.isfinite(s.max()):
+        theta = _nonzero(lambda k: rng.uniform(0.0, np.pi, k), theta)
+        w = _nonzero(rng.exponential, w)
+        s = _kanter(rho, theta, w)
+    return s
 
 
 def sample_sym_stable(spec: StableSpec, rng: RngStream, size=None):

@@ -6,19 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stable_tv_lab import RngStream
+from stable_tv_lab.campaigns import DEFAULT_PARAMS
+from stable_tv_lab.sde import BLOCK_SIZE
 
 
 def test_same_key_replays_identically():
     a = RngStream(1234, 7).normal(100)
     b = RngStream(1234, 7).normal(100)
     np.testing.assert_array_equal(a, b)
-
-
-def test_fresh_rewinds_the_counter():
-    s = RngStream(99, 3)
-    first = s.normal(50)
-    s.normal(1000)  # advance the counter
-    np.testing.assert_array_equal(s.fresh().normal(50), first)
 
 
 def test_distinct_streams_differ():
@@ -30,13 +25,19 @@ def test_distinct_streams_differ():
 
 
 def test_substreams_do_not_collide_across_parents():
-    keys = set()
-    for parent in range(8):
-        stream = RngStream(0, parent)
-        for child in range(8):
-            sub = stream.substream(child)
-            keys.add(sub.stream_index)
-    assert len(keys) == 64
+    # roots: the campaigns' stream indices at their defaults (0-199 for the
+    # sampler checks and gradient-probe's 100 j + k, 1000 + k for tv-theorem,
+    # 9000 + int(1e6 t) for gradient-probe); children: the blocks of
+    # n <= 128 * BLOCK_SIZE, which covers tv-theorem's n = 400 000
+    p = DEFAULT_PARAMS["gradient-probe"]
+    ts = np.geomspace(*p["t_grid"], p["t_nodes"])
+    roots = set(range(200)) | set(range(1000, 1010)) | {9000 + int(1e6 * t) for t in ts}
+    assert max(roots) == 109_000
+    assert 128 * BLOCK_SIZE >= DEFAULT_PARAMS["tv-theorem"]["n"]
+    keys = [RngStream(0, r).substream(c).stream_index for r in sorted(roots) for c in range(128)]
+    assert len(keys) == 27_776
+    assert len(set(keys)) == len(keys)
+    assert not roots & set(keys)
 
 
 def test_negative_stream_index_rejected():

@@ -92,6 +92,58 @@ def test_worker_count_never_changes_the_ensemble():
     np.testing.assert_array_equal(single.endpoints, parallel.endpoints)
 
 
+@pytest.mark.parametrize(
+    "driver, scheme",
+    [
+        ("brownian", "brownian"),
+        (("stable", 1.5), "direct-stable"),
+        (("stable", 1.5), "subordinated"),
+        (("coupled", 1.5), "subordinated"),
+    ],
+    ids=["brownian", "stable-direct", "stable-subordinated", "coupled"],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_start_points_share_draws_and_match_single_runs(driver, scheme, workers):
+    x0 = np.array([[0.5], [-0.5], [2.0]])
+    kwargs = dict(
+        drift=drift_registry("ou"),
+        cfg=EulerConfig(dt=0.1, scheme=scheme, sigma=[[2.0]]),
+        driver=driver,
+        t=0.3,
+        n=2 * BLOCK_SIZE + 5,
+        rng=RngStream(22, 0),
+        workers=workers,
+    )
+    many = run_ensemble(x0=x0, **kwargs).endpoints
+    lead = (2,) if driver[0] == "coupled" else ()
+    assert many.shape == lead + (3, kwargs["n"], 1)
+    for j, start in enumerate(x0):
+        one = run_ensemble(x0=start, **kwargs).endpoints
+        np.testing.assert_array_equal(many[..., j, :, :], one)
+
+
+def test_start_points_must_broadcast_to_d_or_m_by_d():
+    ou2 = drift_registry("ou", d=2)
+    for drift, x0 in [
+        (drift_registry("ou"), [0.0, 1.0]),
+        (ou2, [0.0, 1.0, 2.0]),
+        (ou2, [[0.0, 1.0, 2.0]]),
+        (ou2, np.zeros((2, 1, 2))),
+    ]:
+        with pytest.raises(ValueError):
+            run_ensemble(drift, EulerConfig(scheme="brownian"), "brownian", x0, 0.1, 16, RngStream(0, 0))
+
+
+def test_mc_semigroup_returns_floats_for_one_start_and_arrays_for_many():
+    args = (np.cos, drift_registry("ou"), ("stable", 1.5))
+    kwargs = dict(t=0.2, n=1000, cfg=EulerConfig(dt=0.05, scheme="subordinated"))
+    est, se = mc_semigroup(*args, x=[0.3], rng=RngStream(9, 0), **kwargs)
+    assert isinstance(est, float) and isinstance(se, float)
+    ests, ses = mc_semigroup(*args, x=[[0.3], [-0.3]], rng=RngStream(9, 0), **kwargs)
+    assert ests.shape == ses.shape == (2,)
+    assert ests[0] == est and ses[0] == se
+
+
 def test_direct_and_subordinated_schemes_agree_in_law():
     # same driver law, different factorizations: empirical CFs must agree
     alpha, t, n = 1.5, 1.0, 80_000

@@ -80,6 +80,35 @@ def test_stable_vector_marginals_and_isotropy():
     assert abs(emp - target) < CF_TOL
 
 
+@pytest.mark.filterwarnings("ignore:(divide by zero|invalid value):RuntimeWarning")
+def test_kanter_redraws_exact_zeros():
+    # theta = 0 gives 0/0 and w = 0 an infinite draw (warning once, before
+    # the redraw); both must be redrawn
+    class ZerosFirst:
+        def __init__(self):
+            self.rng = RngStream(6, 0)
+            self.first = {"uniform": True, "exponential": True}
+
+        def _edge(self, name, x):
+            if self.first[name]:
+                self.first[name] = False
+                if np.ndim(x) == 0:
+                    return 0.0
+                x[0] = 0.0
+            return x
+
+        def uniform(self, low, high, size=None):
+            assert low == 0.0
+            return self._edge("uniform", self.rng.uniform(low, high, size))
+
+        def exponential(self, size=None):
+            return self._edge("exponential", self.rng.exponential(size))
+
+    for size in (None, 1, 64):
+        s = sample_subordinator(SubordinatorSpec(1.5, 1.0), ZerosFirst(), size=size)
+        assert np.all(np.isfinite(s)) and np.all(s > 0.0)
+
+
 def test_sampler_replays_with_same_stream():
     a = sample_sym_stable(StableSpec(1.5, 1.0), RngStream(42, 9), size=1000)
     b = sample_sym_stable(StableSpec(1.5, 1.0), RngStream(42, 9), size=1000)
