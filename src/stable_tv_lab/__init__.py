@@ -18,7 +18,6 @@ from stable_tv_lab.stable_sampling import (
     robust_mean,
 )
 from stable_tv_lab.constants import (
-    ConstantReport,
     a_const,
     omega_sphere,
     ratio_to_limit,
@@ -41,14 +40,12 @@ from stable_tv_lab.distances import (
     RateFit,
     tv_from_densities,
     tv_from_samples_1d,
-    wasserstein1_1d,
     tv_cf_lower_bound,
     rate_fit,
 )
 from stable_tv_lab.ou import (
     OuLawSpec,
     transition_cf,
-    ergodic_cf,
     ergodic_density,
     exact_tv_mu,
     lb_curve,

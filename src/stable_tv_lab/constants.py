@@ -11,7 +11,7 @@ overflow.  E[S_t^{-1}] = Gamma(1 + 2/alpha) * 2^{2/alpha} * t^{-2/alpha} / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from scipy.special import gammaln
 
@@ -24,9 +24,6 @@ class ConstantReport:
     omega: float
     ratio: float
     tail_mass: float | None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_alpha(alpha: float, lo: float = 0.0, hi: float = 2.0) -> None:

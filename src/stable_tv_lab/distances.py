@@ -8,7 +8,7 @@ used anywhere; tests assert the factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,8 @@ class GridDensity:
         values = np.asarray(self.values, dtype=float)
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("density values must be finite")
         if np.any(values < 0.0):
             raise ValueError("density values must be non-negative")
         object.__setattr__(self, "values", values)
@@ -64,7 +66,7 @@ class GridDensity:
 
     def check_normalized(self, tol: float = 1e-4) -> None:
         mass = self.total_mass()
-        if abs(mass - 1.0) > tol:
+        if not abs(mass - 1.0) <= tol:  # a NaN mass fails too
             raise ValueError(f"density not normalized: total mass {mass}")
 
 
@@ -77,15 +79,6 @@ class RateFit:
     intercept: float
     max_residual: float
     curvature: float = 0.0  # quadratic coefficient in log eps; >0 flags a log factor
-
-    def as_dict(self) -> dict:
-        return {
-            "points": [list(p) for p in self.points],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "max_residual": self.max_residual,
-            "curvature": self.curvature,
-        }
 
 
 def tv_from_densities(p: GridDensity, q: GridDensity) -> float:
@@ -141,17 +134,6 @@ def tv_noise_floor(samples: SampleSet, bins: int | None = None, splits: int = 4)
             tv_from_samples_1d(SampleSet(v[perm[:half]]), SampleSet(v[perm[half:2 * half]]), bins)
         )
     return float(np.max(floors))
-
-
-def wasserstein1_1d(a: SampleSet, b: SampleSet) -> float:
-    """Exact empirical W1 in 1-D by quantile coupling (sorted samples)."""
-    va, vb = np.sort(_scalar_values(a)), np.sort(_scalar_values(b))
-    if va.size != vb.size:
-        m = min(va.size, vb.size)
-        qs = (np.arange(m) + 0.5) / m
-        va = np.quantile(va, qs)
-        vb = np.quantile(vb, qs)
-    return float(np.mean(np.abs(va - vb)))
 
 
 def tv_cf_lower_bound(a: SampleSet, b: SampleSet, xis) -> float:

@@ -32,11 +32,13 @@ class GridFunction:
 
     extension is one of
       ("linear",)        linear model per side, fitted on the outer 10%
-      ("constant",)      frozen edge value per side
+                         (Poisson solutions grow at most linearly)
       ("callable", fn)   exact analytic extension (used for test functions
                          like cos, whose off-grid values are known)
     The extension must be explicit because the fractional Laplacian is
-    nonlocal and always sees off-grid values.
+    nonlocal and always sees off-grid values.  deriv1 and deriv2 take grid
+    points at least two cells inside the grid and raise ValueError for any
+    other x.
     """
 
     grid: np.ndarray
@@ -64,8 +66,6 @@ class GridFunction:
         kind = self.extension[0]
         if kind == "callable":
             return None
-        if kind == "constant":
-            return ((values[0], 0.0), (values[-1], 0.0))
         if kind != "linear":
             raise ValueError(f"unknown extension {self.extension!r}")
         m = max(4, grid.size // 10)
@@ -79,10 +79,9 @@ class GridFunction:
         return float(self.grid[1] - self.grid[0])
 
     @classmethod
-    def from_callable(cls, fn: Callable, grid, exact_extension: bool = True) -> "GridFunction":
+    def from_callable(cls, fn: Callable, grid) -> "GridFunction":
         grid = np.asarray(grid, dtype=float)
-        ext = ("callable", fn) if exact_extension else ("linear",)
-        return cls(grid=grid, values=np.asarray(fn(grid), dtype=float), extension=ext)
+        return cls(grid=grid, values=np.asarray(fn(grid), dtype=float), extension=("callable", fn))
 
     def side_model(self, side: int):
         """(a, b): off-grid model a + b x on the left (0) or right (1)."""
@@ -113,10 +112,10 @@ class GridFunction:
 
     def _index_of(self, x: float, pad: int) -> int:
         i = int(round((x - self.grid[0]) / self.h))
+        if not pad <= i <= self.grid.size - 1 - pad:
+            raise ValueError(f"x = {x} is not {pad} cells inside the grid, as the stencil needs")
         if abs(self.grid[i] - x) > 1e-9 * max(1.0, abs(x)):
             raise ValueError(f"x = {x} is not a grid point")
-        if i < pad or i > self.grid.size - 1 - pad:
-            raise ValueError(f"x = {x} too close to the boundary for the stencil")
         return i
 
     def deriv1(self, x: float) -> float:
@@ -140,14 +139,13 @@ class PoissonProblem:
     alpha: float
     drift: DriftField
     mu_h: float | None = None
-    h_bound: float = 1.0
 
     def __post_init__(self):
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (1, 2], got {self.alpha}")
 
 
-def frac_laplacian_1d(f: GridFunction, alpha: float, x: float, delta: float | None = None) -> float:
+def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
     """Compensated singular quadrature of the fractional Laplacian at x.
 
     Uses the symmetrized increment g(z) = f(x+z) + f(x-z) - 2 f(x), which
@@ -156,7 +154,7 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float, delta: float | No
       [delta, 1)   adaptive quadrature on spline values
       [1, z0)      adaptive quadrature on spline + extension values
       [z0, inf)    analytic integral of the extension model
-    with delta = 2 grid cells by default.
+    with delta = 2 grid cells.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must be in (1, 2), got {alpha}")
@@ -164,9 +162,9 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float, delta: float | No
     if not grid[0] < x < grid[-1]:
         raise ValueError("x must be interior to the grid")
     A = a_const(1, alpha)
-    delta = 2.0 * f.h if delta is None else delta
+    delta = 2.0 * f.h
     if delta >= 1.0:
-        raise ValueError("delta must be < 1 (grid too coarse)")
+        raise ValueError(f"grid step {f.h} too coarse: two cells must span less than 1")
     fx = float(f(x))
     g = lambda z: f(x + z) + f(x - z) - 2.0 * fx
     kernel = lambda z: g(z) * A * z ** (-1.0 - alpha)
@@ -273,7 +271,7 @@ def poisson_solution(
     T = t_max if t_max is not None else 10.0
     nodes = np.linspace(0.0, T, quad_steps + 1)
     driver = "brownian" if alpha == 2.0 else ("stable", alpha)
-    cfg = EulerConfig(dt=dt, scheme="brownian" if alpha == 2.0 else "subordinated")
+    cfg = EulerConfig(dt=dt)
     # one shared path ensemble, advanced node to node
     state = np.full((n_paths, prob.drift.d), float(x))
     means = [float(np.mean(prob.h(state[:, 0]))) - prob.mu_h]

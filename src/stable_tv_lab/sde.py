@@ -7,13 +7,17 @@ One stepper, advance, integrates every path the lab simulates: the
 ensembles of run_ensemble (and so mc_semigroup and the campaigns), the
 coupled driver ('coupled', alpha), which moves a stable and a Brownian
 path on shared Gaussians, and the shared state of the Monte Carlo Poisson
-engine.  Driver increments are exact in law at every step (the only
-discretization error is in the drift term), which keeps the alpha -> 2
-comparison clean.  Paths are simulated in fixed-size blocks with
-per-block substreams, so ensembles are bit-identical regardless of the
-worker count; campaigns pass their `workers` setting through.  Several
-start points given at once move on one set of increments per block
-(common random numbers), each exactly as it would alone.
+engine.  The driver alone picks the increments, exact in law at every
+step: sqrt(h) z for Brownian motion and the subordinated sqrt(S) z, with
+S the alpha/2-stable subordinator, for the stable driver in every d.  The
+only discretization error is in the drift term, which keeps the
+alpha -> 2 comparison clean.  EulerConfig holds the step dt and the
+diffusion matrix sigma, nothing else.  Paths are simulated in fixed-size
+blocks with per-block substreams, so ensembles are bit-identical
+regardless of the worker count; campaigns pass their `workers` setting
+through.  Several start points given at once move on one set of
+increments per block (common random numbers), each exactly as it would
+alone.
 """
 
 from __future__ import annotations
@@ -26,12 +30,7 @@ from typing import Callable
 import numpy as np
 
 from stable_tv_lab.rng import RngStream
-from stable_tv_lab.stable_sampling import (
-    StableSpec,
-    SubordinatorSpec,
-    sample_subordinator,
-    sample_sym_stable,
-)
+from stable_tv_lab.stable_sampling import SubordinatorSpec, sample_subordinator
 
 BLOCK_SIZE = 4096  # paths per substream block; fixed so workers never matter
 
@@ -60,28 +59,11 @@ class DriftField:
     K: float = 0.0
     name: str = "custom"
 
-    @property
-    def L0(self) -> float:
-        """sqrt(2K / theta0), defined when K > 0."""
-        if self.K <= 0.0:
-            raise ValueError("L0 is only defined for K > 0")
-        return float(np.sqrt(2.0 * self.K / self.theta0))
-
 
 def drift_registry(name: str, d: int = 1, **kwargs) -> DriftField:
-    """Built-in drifts: ou, ou-perturbed(eps), custom-affine(A, c), zero."""
+    """Built-in drifts: ou, custom-affine(A, c), zero."""
     if name == "ou":
         return DriftField(b=lambda x: -x, d=d, theta0=1.0, theta1=1.0, name="ou")
-    if name == "ou-perturbed":
-        eps = float(kwargs.get("eps", 0.1))
-        return DriftField(
-            b=lambda x: -x + eps * np.sin(x),
-            d=d,
-            theta0=1.0 - eps,
-            theta1=1.0 + eps,
-            theta2=eps,
-            name=f"ou-perturbed({eps})",
-        )
     if name == "custom-affine":
         A = np.atleast_2d(np.asarray(kwargs["A"], dtype=float))
         c = np.atleast_1d(np.asarray(kwargs.get("c", np.zeros(d)), dtype=float))
@@ -105,14 +87,11 @@ def drift_registry(name: str, d: int = 1, **kwargs) -> DriftField:
 @dataclass(frozen=True)
 class EulerConfig:
     dt: float | None = None
-    scheme: str = "direct-stable"  # direct-stable | subordinated | brownian
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.scheme not in ("direct-stable", "subordinated", "brownian"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.sigma is not None:
             sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
             if not np.isfinite(np.linalg.cond(sigma)):
@@ -187,7 +166,7 @@ def probe_h2(drift: DriftField, points, fd_step: float = 1e-5, rng: RngStream | 
     return theta1_hat, theta2_hat
 
 
-def _check_run(driver, cfg: EulerConfig, t: float):
+def _check_run(driver, t: float):
     """Validate one Euler run; 'brownian', ('stable', alpha) or ('coupled', alpha) -> (kind, alpha)."""
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -197,19 +176,15 @@ def _check_run(driver, cfg: EulerConfig, t: float):
         alpha = float(driver[1])
         if not 1.0 < alpha < 2.0:
             raise ValueError(f"{driver[0]} driver needs alpha in (1, 2), got {alpha}")
-        if cfg.scheme == "brownian":
-            raise ValueError(f"{driver[0]} driver needs a stable scheme, got 'brownian'")
         return driver[0], alpha
     raise ValueError(f"driver must be 'brownian', ('stable', alpha) or ('coupled', alpha), got {driver!r}")
 
 
-def _increments(kind: str, alpha: float, h: float, n: int, d: int, scheme: str, rng: RngStream):
+def _increments(kind: str, alpha: float, h: float, n: int, d: int, rng: RngStream):
     """Exact-in-law driver increments over one step of size h, one (n, d) array per path."""
     if kind == "brownian":
         return [np.sqrt(h) * rng.normal((n, d))]
-    if kind == "stable" and scheme == "direct-stable" and d == 1:
-        return [sample_sym_stable(StableSpec(alpha, h), rng, size=n)[:, None]]
-    if kind == "stable":  # subordinated, and the d > 1 direct route, which is subordination too
+    if kind == "stable":  # subordination: sqrt(S) z, rotationally symmetric in every d
         s = sample_subordinator(SubordinatorSpec(alpha, h), rng, size=n)
         return [np.sqrt(s)[:, None] * rng.normal((n, d))]
     # coupled: the Gaussians first, then the subordinator
@@ -223,7 +198,7 @@ def advance(state: np.ndarray, t: float, drift: DriftField, driver, cfg: EulerCo
 
     state is (..., n, d), or (2, ..., n, d) for ('coupled', alpha): a
     stable path and a Brownian path on shared Gaussians z, with increments
-    sqrt(S) z and sqrt(h) z (the coupled driver always subordinates).  Each
+    sqrt(S) z and sqrt(h) z.  Each
     step draws one (n, d) increment per driver and adds it to every index
     of the leading axes, so m start points stacked as (m, n, d) share their
     draws; drift.b sees the (-1, d) rows.  It takes
@@ -232,14 +207,14 @@ def advance(state: np.ndarray, t: float, drift: DriftField, driver, cfg: EulerCo
     of a step is round-off and takes no step of its own.  Raises
     IntegrationError when a state becomes non-finite.
     """
-    kind, alpha = _check_run(driver, cfg, t)
+    kind, alpha = _check_run(driver, t)
     dt = cfg.step_size(t)
     paths = state if kind == "coupled" else state[None]
     n, d = state.shape[-2:]
     remaining = t
     for step in range(math.ceil(t / dt - 1e-9)):
         h = min(dt, remaining)
-        for x, dl in zip(paths, _increments(kind, alpha, h, n, d, cfg.scheme, rng)):
+        for x, dl in zip(paths, _increments(kind, alpha, h, n, d, rng)):
             if cfg.sigma is not None:
                 dl = dl @ cfg.sigma.T
             x += drift.b(x.reshape(-1, d)).reshape(x.shape) * h
@@ -271,7 +246,7 @@ def run_ensemble(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    kind, alpha = _check_run(driver, cfg, t)
+    kind, alpha = _check_run(driver, t)
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     sizes = [min(BLOCK_SIZE, n - i * BLOCK_SIZE) for i in range(n_blocks)]
     start = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -295,7 +270,6 @@ def run_ensemble(
         "drift": drift.name,
         "driver": kind if kind == "brownian" else f"{kind}({alpha})",
         "dt": cfg.step_size(t),
-        "scheme": cfg.scheme if kind != "brownian" else "brownian",
         "seed": rng.root_seed,
         "stream": rng.stream_index,
         "x0": np.asarray(x0, dtype=float).tolist(),
@@ -313,9 +287,7 @@ def mc_semigroup(h, drift, driver, x, t, n, rng, cfg: EulerConfig | None = None,
     """
     if isinstance(driver, (tuple, list)) and driver[0] == "coupled":
         raise ValueError("mc_semigroup needs a single driver, not a coupled one")
-    if cfg is None:
-        cfg = EulerConfig(scheme="brownian" if driver == "brownian" else "subordinated")
-    ens = run_ensemble(drift, cfg, driver, x, t, n, rng, workers=workers)
+    ens = run_ensemble(drift, cfg or EulerConfig(), driver, x, t, n, rng, workers=workers)
     vals = np.asarray(h(ens.endpoints[..., 0] if drift.d == 1 else ens.endpoints), dtype=float)
     est = np.mean(vals, axis=-1)
     se = np.std(vals, axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.full(est.shape, np.inf)

@@ -14,11 +14,8 @@ Laplace-transform acceptance tests, never trusted.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,10 +53,9 @@ class SubordinatorSpec:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Immutable i.i.d. sample collection with regeneration metadata."""
+    """Immutable, non-empty i.i.d. sample collection."""
 
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -70,33 +66,6 @@ class SampleSet:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
-    def to_csv(self, path) -> None:
-        """Write samples as CSV plus a JSON provenance sidecar."""
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.values.ndim == 1:
-                writer.writerow(["value"])
-                writer.writerows([[v] for v in self.values])
-            else:
-                writer.writerow([f"v{i + 1}" for i in range(self.dim)])
-                writer.writerows(self.values.tolist())
-        sidecar = path.with_suffix(path.suffix + ".json")
-        with open(sidecar, "w") as fh:
-            json.dump({**self.meta, "n": self.n}, fh, indent=2)
-
-    @classmethod
-    def from_csv(cls, path) -> "SampleSet":
-        path = Path(path)
-        values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
-        sidecar = path.with_suffix(path.suffix + ".json")
-        meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-        return cls(values=values, meta=meta)
 
 
 class CharFnEstimate(NamedTuple):
@@ -241,12 +210,3 @@ def robust_mean(samples: SampleSet, blocks: int = 32) -> float:
     parts = np.array_split(values, blocks)
     return float(np.median([np.mean(p) for p in parts]))
 
-
-def robust_std_error(samples: SampleSet, blocks: int = 32) -> float:
-    """Spread of the block means, as a robust stand-in for the std error."""
-    values = np.asarray(samples.values, dtype=float)
-    parts = np.array_split(values, blocks)
-    means = np.array([np.mean(p) for p in parts])
-    # 1.4826 * MAD estimates the block-mean sigma; /sqrt(blocks) for the median.
-    mad = np.median(np.abs(means - np.median(means)))
-    return float(1.4826 * mad / np.sqrt(blocks))

@@ -202,7 +202,7 @@ def test_criterion_08_ergodic_first_moments():
     n, t, dt = 1_000_000, 10.0, 0.01
     ens = run_ensemble(
         drift_registry("ou"),
-        EulerConfig(dt=dt, scheme="brownian"),
+        EulerConfig(dt=dt),
         "brownian",
         [0.0],
         t,
@@ -258,7 +258,7 @@ def test_criterion_10_determinism():
         identical = identical and a.checks == b.checks and a.data == b.data
     kwargs = dict(
         drift=drift_registry("ou"),
-        cfg=EulerConfig(dt=0.01, scheme="subordinated"),
+        cfg=EulerConfig(dt=0.01),
         driver=("stable", 1.5),
         x0=[0.0],
         t=1.0,

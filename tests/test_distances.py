@@ -20,7 +20,6 @@ from stable_tv_lab import (
     tv_cf_lower_bound,
     tv_from_densities,
     tv_from_samples_1d,
-    wasserstein1_1d,
 )
 from stable_tv_lab.distances import tv_noise_floor
 
@@ -36,6 +35,8 @@ def test_grid_density_validation():
         GridDensity(1.0, -1.0, np.ones(10))
     with pytest.raises(ValueError):
         GridDensity(-1.0, 1.0, np.array([0.5, -0.1, 0.5]))
+    with pytest.raises(ValueError):  # a NaN mass would pass the mass check and give TV nan
+        GridDensity(-1.0, 1.0, np.array([0.5, np.nan, 0.5]))
 
 
 def test_grid_density_mass_with_power_tail():
@@ -88,26 +89,6 @@ def test_tv_sample_estimator_stays_in_range(data, shift):
     a = SampleSet(np.asarray(data))
     b = SampleSet(np.asarray(data) + shift)
     assert 0.0 <= tv_from_samples_1d(a, b) <= 2.0
-
-
-@given(
-    data=st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=10, max_size=200
-    ),
-    c=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-)
-def test_wasserstein_shift_identity(data, c):
-    # W1(X, X + c) = |c| exactly for equal-size samples
-    a = SampleSet(np.asarray(data))
-    b = SampleSet(np.asarray(data) + c)
-    assert wasserstein1_1d(a, b) == pytest.approx(abs(c), abs=1e-6 * (1 + abs(c)))
-
-
-def test_wasserstein_unequal_sizes():
-    rng = RngStream(79, 0)
-    a = SampleSet(rng.normal(30_000))
-    b = SampleSet(rng.normal(50_000) + 2.0)
-    assert wasserstein1_1d(a, b) == pytest.approx(2.0, abs=0.05)
 
 
 def test_cf_lower_bound_is_a_lower_bound():

@@ -14,7 +14,6 @@ import pytest
 
 from stable_tv_lab import (
     OuLawSpec,
-    ergodic_cf,
     ergodic_density,
     exact_tv_mu,
     lb_curve,
@@ -47,13 +46,13 @@ def test_transition_cf_limits():
     assert transition_cf(spec0, 1.3) == pytest.approx(np.exp(1.3j * 2.0))
     # t -> infinity: the transition law forgets x and becomes ergodic
     spec_inf = OuLawSpec(1.5, kind="transition", x=2.0, t=60.0)
-    assert transition_cf(spec_inf, 1.3) == pytest.approx(ergodic_cf(1.5, 1.3), abs=1e-12)
+    assert transition_cf(spec_inf, 1.3) == pytest.approx(transition_cf(OuLawSpec(1.5), 1.3), abs=1e-12)
 
 
 def test_ergodic_cf_closed_form():
     for alpha in (1.2, 1.7, 2.0):
         for xi in (0.5, 1.0, 3.0):
-            assert ergodic_cf(alpha, xi) == pytest.approx(
+            assert transition_cf(OuLawSpec(alpha), xi) == pytest.approx(
                 math.exp(-abs(xi) ** alpha / (2.0 * alpha))
             )
 

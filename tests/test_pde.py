@@ -54,8 +54,11 @@ def test_grid_function_derivatives_of_cos():
     assert f.deriv2(0.5) == pytest.approx(-math.cos(0.5), abs=1e-8)
     with pytest.raises(ValueError):
         f.deriv1(0.5001234)  # not a grid point
-    with pytest.raises(ValueError):
-        f.deriv2(-4.0)  # no room for the stencil
+    for x in (-4.0, 100.0, -4.2):  # no room for the stencil, or off the grid
+        with pytest.raises(ValueError):
+            f.deriv2(x)
+        with pytest.raises(ValueError):
+            f.deriv1(x)
 
 
 def test_linear_extension_reproduces_affine_functions():
@@ -65,13 +68,6 @@ def test_linear_extension_reproduces_affine_functions():
     assert (a, b) == (pytest.approx(3.0), pytest.approx(-0.5))
     assert f(10.0) == pytest.approx(-2.0)
     assert f(-10.0) == pytest.approx(8.0)
-
-
-def test_constant_extension_freezes_edge_values():
-    grid = np.linspace(-1.0, 1.0, 21)
-    f = GridFunction(grid, grid**2, extension=("constant",))
-    assert f(5.0) == pytest.approx(1.0)
-    assert f(-5.0) == pytest.approx(1.0)
 
 
 def test_callable_extension_has_no_side_model():

@@ -60,8 +60,6 @@ def test_probe_h2_recovers_ou_derivative_bounds():
 def test_euler_config_validation():
     with pytest.raises(ValueError):
         EulerConfig(dt=-0.1)
-    with pytest.raises(ValueError):
-        EulerConfig(scheme="milstein")
     assert EulerConfig(dt=0.5).step_size(10.0) == 0.5
     assert EulerConfig().step_size(10.0) == pytest.approx(1e-3)
 
@@ -70,7 +68,7 @@ def test_brownian_ou_moments_match_closed_form():
     # dY = -Y dt + dB from 0: Var Y_t = (1 - e^{-2t}) / 2 (half-speed driver)
     t, n = 2.0, 60_000
     ens = run_ensemble(
-        drift_registry("ou"), EulerConfig(dt=1e-3, scheme="brownian"), "brownian", [0.0], t, n, RngStream(8, 0)
+        drift_registry("ou"), EulerConfig(dt=1e-3), "brownian", [0.0], t, n, RngStream(8, 0)
     )
     target = (1.0 - np.exp(-2.0 * t)) / 2.0
     assert np.mean(ens.endpoints) == pytest.approx(0.0, abs=4 * np.sqrt(target / n))
@@ -80,7 +78,7 @@ def test_brownian_ou_moments_match_closed_form():
 def test_worker_count_never_changes_the_ensemble():
     kwargs = dict(
         drift=drift_registry("ou"),
-        cfg=EulerConfig(dt=0.01, scheme="subordinated"),
+        cfg=EulerConfig(dt=0.01),
         driver=("stable", 1.5),
         x0=[0.0],
         t=0.5,
@@ -93,21 +91,16 @@ def test_worker_count_never_changes_the_ensemble():
 
 
 @pytest.mark.parametrize(
-    "driver, scheme",
-    [
-        ("brownian", "brownian"),
-        (("stable", 1.5), "direct-stable"),
-        (("stable", 1.5), "subordinated"),
-        (("coupled", 1.5), "subordinated"),
-    ],
-    ids=["brownian", "stable-direct", "stable-subordinated", "coupled"],
+    "driver",
+    ["brownian", ("stable", 1.5), ("coupled", 1.5)],
+    ids=["brownian", "stable-subordinated", "coupled"],
 )
 @pytest.mark.parametrize("workers", [1, 2])
-def test_start_points_share_draws_and_match_single_runs(driver, scheme, workers):
+def test_start_points_share_draws_and_match_single_runs(driver, workers):
     x0 = np.array([[0.5], [-0.5], [2.0]])
     kwargs = dict(
         drift=drift_registry("ou"),
-        cfg=EulerConfig(dt=0.1, scheme=scheme, sigma=[[2.0]]),
+        cfg=EulerConfig(dt=0.1, sigma=[[2.0]]),
         driver=driver,
         t=0.3,
         n=2 * BLOCK_SIZE + 5,
@@ -131,12 +124,12 @@ def test_start_points_must_broadcast_to_d_or_m_by_d():
         (ou2, np.zeros((2, 1, 2))),
     ]:
         with pytest.raises(ValueError):
-            run_ensemble(drift, EulerConfig(scheme="brownian"), "brownian", x0, 0.1, 16, RngStream(0, 0))
+            run_ensemble(drift, EulerConfig(), "brownian", x0, 0.1, 16, RngStream(0, 0))
 
 
 def test_mc_semigroup_returns_floats_for_one_start_and_arrays_for_many():
     args = (np.cos, drift_registry("ou"), ("stable", 1.5))
-    kwargs = dict(t=0.2, n=1000, cfg=EulerConfig(dt=0.05, scheme="subordinated"))
+    kwargs = dict(t=0.2, n=1000, cfg=EulerConfig(dt=0.05))
     est, se = mc_semigroup(*args, x=[0.3], rng=RngStream(9, 0), **kwargs)
     assert isinstance(est, float) and isinstance(se, float)
     ests, ses = mc_semigroup(*args, x=[[0.3], [-0.3]], rng=RngStream(9, 0), **kwargs)
@@ -144,18 +137,20 @@ def test_mc_semigroup_returns_floats_for_one_start_and_arrays_for_many():
     assert ests[0] == est and ses[0] == se
 
 
-def test_direct_and_subordinated_schemes_agree_in_law():
-    # same driver law, different factorizations: empirical CFs must agree
+@pytest.mark.parametrize(
+    "d, xis",
+    [(1, [[0.5], [1.0], [2.0]]), (2, [[1.0, 0.0], [0.6, 0.8]])],
+    ids=["d1", "d2"],
+)
+def test_stable_euler_matches_the_driver_cf(d, xis):
+    # zero drift: the endpoint is the driver at t, CF exp(-t |xi|^alpha / 2) in every d
     alpha, t, n = 1.5, 1.0, 80_000
-    drift = drift_registry("zero")
-    a = run_ensemble(drift, EulerConfig(dt=0.1, scheme="direct-stable"), ("stable", alpha), [0.0], t, n, RngStream(4, 0))
-    b = run_ensemble(drift, EulerConfig(dt=0.1, scheme="subordinated"), ("stable", alpha), [0.0], t, n, RngStream(4, 1))
-    for xi in (0.5, 1.0, 2.0):
-        ca = np.mean(np.cos(xi * a.endpoints[:, 0]))
-        cb = np.mean(np.cos(xi * b.endpoints[:, 0]))
-        assert abs(ca - cb) < 4.0 / np.sqrt(n)
-        # and both match the exact driver CF (zero drift => exact law)
-        assert abs(ca - np.exp(-t * xi**alpha / 2.0)) < 4.0 / np.sqrt(n)
+    ens = run_ensemble(drift_registry("zero", d=d), EulerConfig(dt=0.1), ("stable", alpha), np.zeros(d), t, n,
+                       RngStream(4, 0))
+    assert ens.endpoints.shape == (n, d)
+    for xi in np.asarray(xis):
+        cf = np.mean(np.cos(ens.endpoints @ xi))
+        assert abs(cf - np.exp(-t * np.linalg.norm(xi) ** alpha / 2.0)) < 4.0 / np.sqrt(n)
 
 
 def test_steps_land_exactly_on_the_horizon():
@@ -178,7 +173,7 @@ def test_steps_land_exactly_on_the_horizon():
     drift = DriftField(b=unit, d=1, theta0=0.0, name="unit")
     for t, dt, n_steps, last in [(5.0, 0.01, 500, 0.01), (5.0, 0.03, 167, 0.02)]:
         times.clear()
-        ens = run_ensemble(drift, EulerConfig(dt=dt, scheme="brownian"), "brownian", [0.0], t, 1, ZeroNoise())
+        ens = run_ensemble(drift, EulerConfig(dt=dt), "brownian", [0.0], t, 1, ZeroNoise())
         steps = np.diff(times + [ens.endpoints[0, 0]])
         assert len(times) == n_steps
         assert steps[-1] == pytest.approx(last, abs=1e-12)
@@ -189,7 +184,7 @@ def test_steps_land_exactly_on_the_horizon():
 def test_sigma_scales_every_driver(driver):
     # zero drift, sigma = 2: Brownian endpoints N(0, 4t), stable CF exp(-t |2 xi|^alpha / 2)
     t, n = 1.0, 40_000
-    cfg = EulerConfig(dt=0.1, scheme="brownian" if driver == "brownian" else "subordinated", sigma=[[2.0]])
+    cfg = EulerConfig(dt=0.1, sigma=[[2.0]])
     ens = run_ensemble(drift_registry("zero"), cfg, driver, [0.0], t, n, RngStream(30, 0))
     coupled = driver[0] == "coupled"
     paths = ens.endpoints[..., 0] if coupled else [ens.endpoints[:, 0]]
@@ -205,21 +200,19 @@ def test_sigma_scales_every_driver(driver):
 def test_explosive_drift_raises_integration_error():
     cubic = DriftField(b=lambda x: x**3, d=1, theta0=0.0, name="cubic")
     with pytest.raises(IntegrationError):
-        run_ensemble(cubic, EulerConfig(dt=1.0, scheme="brownian"), "brownian", [5.0], 30.0, 64, RngStream(0, 0))
+        run_ensemble(cubic, EulerConfig(dt=1.0), "brownian", [5.0], 30.0, 64, RngStream(0, 0))
 
 
 def test_driver_parsing_rejects_bad_alpha():
-    for cfg, driver, t in [
-        (EulerConfig(), ("stable", 2.5), 1.0),
-        (EulerConfig(), ("coupled", 1.0), 1.0),
-        (EulerConfig(), "poisson", 1.0),
-        (EulerConfig(scheme="brownian"), ("stable", 1.5), 1.0),  # would silently subordinate
-        (EulerConfig(scheme="brownian"), ("coupled", 1.5), 1.0),
-        (EulerConfig(), "brownian", 0.0),  # would silently return x0
-        (EulerConfig(), "brownian", -1.0),
+    for driver, t in [
+        (("stable", 2.5), 1.0),
+        (("coupled", 1.0), 1.0),
+        ("poisson", 1.0),
+        ("brownian", 0.0),  # would silently return x0
+        ("brownian", -1.0),
     ]:
         with pytest.raises(ValueError):
-            run_ensemble(drift_registry("ou"), cfg, driver, [0.0], t, 16, RngStream(0, 0))
+            run_ensemble(drift_registry("ou"), EulerConfig(), driver, [0.0], t, 16, RngStream(0, 0))
     with pytest.raises(ValueError):  # a coupled ensemble has no single P_t h
         mc_semigroup(np.cos, drift_registry("ou"), ("coupled", 1.5), [0.0], 1.0, 16, RngStream(0, 0))
 
@@ -234,7 +227,7 @@ def test_mc_semigroup_matches_cosine_closed_form():
         t,
         n,
         RngStream(12, 0),
-        cfg=EulerConfig(dt=0.01, scheme="subordinated"),
+        cfg=EulerConfig(dt=0.01),
     )
     exact = semigroup_cos(alpha, x, t)
     assert abs(est - exact) < 4.0 * se + 0.01  # MC band + O(dt) drift bias
