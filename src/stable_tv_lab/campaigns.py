@@ -211,7 +211,7 @@ def _verify_samplers(cfg, checks, data):
             stream += 1
             _check_true(checks, f"subordinator-positive[{alpha},{t}]", np.all(sub > 0.0))
             for xi in p["xi"]:
-                emp = empirical_char_fn(SampleSet(sym), xi).value.real
+                emp = empirical_char_fn(SampleSet(sym), xi).real
                 target = np.exp(-t * abs(xi) ** alpha / 2.0)
                 rows.append(["sym", alpha, t, xi, emp, target, abs(emp - target)])
                 _check(checks, f"sym-cf[{alpha},{t},{xi}]", emp, target, tol)

@@ -6,22 +6,24 @@ applying it to cos(xi x) must return -(|xi|^alpha / 2) cos(xi x).  This
 symbol check pins the normalization of the whole module.
 
 Poisson solutions follow the probabilistic representation
-f(x) = int_0^inf [P_t h(x) - mu(h)] dt, computed either from the OU
-closed form or from a Monte Carlo ensemble shared across time nodes.
+f(x) = int_0^inf [mu(h) - P_t h(x)] dt, computed either from the OU
+closed form (one vectorized integral for a whole grid) or from a Monte
+Carlo ensemble shared across time nodes.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad, quad_vec, simpson
 from scipy.interpolate import CubicSpline
 
 from stable_tv_lab.constants import a_const
-from stable_tv_lab.ou import semigroup_cos
 from stable_tv_lab.rng import RngStream
 from stable_tv_lab.sde import DriftField, EulerConfig, advance
 
@@ -59,7 +61,13 @@ class GridFunction:
             raise ValueError("grid must be uniform")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_spline", CubicSpline(grid, values))
+        spline = CubicSpline(grid, values)
+        object.__setattr__(self, "_spline", spline)
+        # for the scalar path: knots as a list for bisect, and the spline
+        # coefficients flat, 4 per interval, in an array (8 bytes each, not
+        # the ~50 of a list of Python floats)
+        object.__setattr__(self, "_knots", grid.tolist())
+        object.__setattr__(self, "_coefs", array("d", spline.c.T.ravel()))
         object.__setattr__(self, "_side_models", self._fit_sides(grid, values))
 
     def _fit_sides(self, grid, values):
@@ -90,6 +98,8 @@ class GridFunction:
         return self._side_models[side]
 
     def __call__(self, x):
+        if isinstance(x, float):
+            return self._at(x)
         x = np.asarray(x, dtype=float)
         if self.extension[0] == "callable":
             inside = (x >= self.grid[0]) & (x <= self.grid[-1])
@@ -109,6 +119,23 @@ class GridFunction:
             ),
         )
         return out if out.ndim else float(out)
+
+    def _at(self, x: float) -> float:
+        """One point, bit for bit as the array path, without its numpy overhead.
+
+        The quadratures call f one scalar at a time.  On the grid this is
+        the spline's own interval choice (x[i] <= x < x[i+1], the last
+        knot in the last interval) and its power sum in scipy's order.
+        """
+        knots = self._knots
+        if knots[0] <= x <= knots[-1]:
+            i = min(bisect_right(knots, x), len(knots) - 1) - 1
+            c, j, s = self._coefs, 4 * i, x - knots[i]
+            return 0.0 + c[j + 3] + c[j + 2] * s + c[j + 1] * (s * s) + c[j] * (s * s * s)
+        if self.extension[0] == "callable":
+            return float(self.extension[1](x))
+        a, b = self._side_models[1 if x > knots[-1] else 0]
+        return float(a + b * x)
 
     def _index_of(self, x: float, pad: int) -> int:
         i = int(round((x - self.grid[0]) / self.h))
@@ -153,8 +180,10 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
       [0, delta)   Taylor closure  f''(x) * A * delta^{2-alpha}/(2-alpha)
       [delta, 1)   adaptive quadrature on spline values
       [1, z0)      adaptive quadrature on spline + extension values
-      [z0, inf)    analytic integral of the extension model
-    with delta = 2 grid cells.
+      [z0, inf)    analytic integral of the linear extension model
+    with delta = 2 grid cells.  A callable extension instead takes [1, inf)
+    in panels growing by 4x, those past z0 calling the extension directly,
+    until a bound on the remaining mass falls below 1e-10.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must be in (1, 2), got {alpha}")
@@ -175,23 +204,27 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
 
     mid, _ = quad(kernel, delta, 1.0, limit=200)
 
+    # z0: beyond it both x+z and x-z are off the grid
+    z0 = max(grid[-1] - x, x - grid[0])
     if f.extension[0] == "callable":
-        # integrate outward in growing panels until the contribution dies
+        # integrate outward in growing panels until the contribution dies;
+        # panels past z0 see only the extension, so they call it directly
+        fn = f.extension[1]
+        off_grid = lambda z: (fn(x + z) + fn(x - z) - 2.0 * fx) * A * z ** (-1.0 - alpha)
+        f_max = float(np.max(np.abs(f.values)))
         far = 0.0
         z_lo = 1.0
         while True:
             z_hi = z_lo * 4.0
-            part = quad(kernel, z_lo, z_hi, limit=400, full_output=1)[0]
+            part = quad(off_grid if z_lo >= z0 else kernel, z_lo, z_hi, limit=400, full_output=1)[0]
             far += part
             # worst-case remaining mass, |g| <= 4 max|f| on the panel scale
-            bound = 4.0 * (np.max(np.abs(f.values)) + 1.0) * A / (alpha * z_hi ** alpha)
+            bound = 4.0 * (f_max + 1.0) * A / (alpha * z_hi ** alpha)
             z_lo = z_hi
-            if bound < 1e-10 or z_hi > 1e7:
+            if bound < 1e-10:
                 break
         return inner + mid + far
 
-    # z0: beyond it both x+z and x-z are off the grid
-    z0 = max(grid[-1] - x, x - grid[0])
     far_grid, _ = quad(kernel, 1.0, z0, limit=400) if z0 > 1.0 else (0.0, 0.0)
     al, bl = f.side_model(0)
     ar, br = f.side_model(1)
@@ -214,22 +247,26 @@ def generator_p(f: GridFunction, drift: DriftField, alpha: float, x: float) -> f
     return bx * f.deriv1(x) + frac_laplacian_1d(f, alpha, x)
 
 
-class TailToleranceError(RuntimeError):
-    """Integrand at t_max still above the declared tolerance."""
+def _closed_form_ou(prob: PoissonProblem, xs: np.ndarray) -> np.ndarray:
+    """f(x) = -int_0^1 [cos(u x) e^{-(1 - u^alpha)/(2 alpha)} - mu] / u du at every x.
 
-
-def _adaptive_t_max(integrand, tol: float = 1e-6, t_cap: float = 200.0) -> float:
-    """Smallest probe time with |integrand| < tol at 3 consecutive nodes."""
-    t, hits = 1.0, 0
-    while t < t_cap:
-        if abs(integrand(t)) < tol:
-            hits += 1
-            if hits >= 3:
-                return t
-        else:
-            hits = 0
-        t += 1.0
-    raise TailToleranceError(f"integrand above {tol} up to t = {t_cap}")
+    This is the time integral with u = e^{-t}: P_t cos(x) is
+    cos(u x) e^{-(1 - u^alpha)/(2 alpha)}, and the whole grid is one
+    vector-valued quadrature.  The integrand is O(u^{alpha - 1}) at u = 0
+    only for mu = mu_alpha(cos); any other mu_h makes the integral diverge
+    like log(1/u), which exhausts the subintervals and raises.
+    """
+    if prob.drift.name != "ou":
+        raise ValueError("closed-form engine requires the OU drift")
+    alpha = prob.alpha
+    mu = prob.mu_h if prob.mu_h is not None else math.exp(-1.0 / (2.0 * alpha))
+    integrand = lambda u: (np.cos(u * xs) * math.exp(-(1.0 - u ** alpha) / (2.0 * alpha)) - mu) / u
+    val, _, info = quad_vec(
+        integrand, 0.0, 1.0, epsabs=1e-10, epsrel=0.0, norm="max", limit=200, full_output=True
+    )
+    if info.status != 0:
+        raise RuntimeError(f"Poisson integral did not converge (is mu_h = mu_alpha?): {info.message}")
+    return -val
 
 
 def poisson_solution(
@@ -242,27 +279,21 @@ def poisson_solution(
     rng: RngStream | None = None,
     dt: float | None = None,
 ):
-    """f(x) = int_0^inf [mu(h) - P_t h(x)] dt by composite quadrature.
+    """f(x) = int_0^inf [mu(h) - P_t h(x)] dt.
 
     Since int_0^inf (A P_t h) dt = mu(h) - h, this f solves the Poisson
     equation A f = h - mu(h); the residual tests pin the sign.
 
     closed-form-ou: requires the OU drift and h = cos; P_t h is the exact
-    cosine semigroup (works for alpha = 2 as the Brownian case).
-    mc: each time node reuses one common ensemble of driver paths from x
-    (common random numbers keep the integrand smooth in t).
+    cosine semigroup (works for alpha = 2 as the Brownian case), integrated
+    over u = e^{-t} by the same code as poisson_solution_grid.
+    mc: composite quadrature on quad_steps time nodes up to t_max, each
+    node reusing one common ensemble of driver paths from x (common random
+    numbers keep the integrand smooth in t).  t_max, quad_steps, n_paths,
+    rng and dt are its knobs alone.
     """
-    alpha = prob.alpha
     if engine == "closed-form-ou":
-        if prob.drift.name != "ou":
-            raise ValueError("closed-form engine requires the OU drift")
-        mu = prob.mu_h if prob.mu_h is not None else math.exp(-1.0 / (2.0 * alpha))
-        integrand = lambda t: semigroup_cos(alpha, x, t) - mu
-        T = t_max if t_max is not None else _adaptive_t_max(integrand)
-        if abs(integrand(T)) > 1e-5:
-            raise TailToleranceError(f"integrand at t_max = {T} is {integrand(T)}")
-        val, _ = quad(integrand, 0.0, T, limit=400)
-        return float(-val)
+        return float(_closed_form_ou(prob, np.array([float(x)]))[0])
     if engine != "mc":
         raise ValueError(f"unknown engine {engine!r}")
     if prob.mu_h is None:
@@ -270,7 +301,7 @@ def poisson_solution(
     rng = rng or RngStream(0, 0)
     T = t_max if t_max is not None else 10.0
     nodes = np.linspace(0.0, T, quad_steps + 1)
-    driver = "brownian" if alpha == 2.0 else ("stable", alpha)
+    driver = "brownian" if prob.alpha == 2.0 else ("stable", prob.alpha)
     cfg = EulerConfig(dt=dt)
     # one shared path ensemble, advanced node to node
     state = np.full((n_paths, prob.drift.d), float(x))
@@ -282,17 +313,10 @@ def poisson_solution(
     return float(-simpson(np.array(means), x=nodes))
 
 
-def poisson_solution_grid(
-    prob: PoissonProblem,
-    grid,
-    engine: str = "closed-form-ou",
-    extension: tuple = ("linear",),
-    **kwargs,
-) -> GridFunction:
-    """Tabulate the Poisson solution on a grid as a GridFunction."""
+def poisson_solution_grid(prob: PoissonProblem, grid, extension: tuple = ("linear",)) -> GridFunction:
+    """Tabulate the closed-form OU Poisson solution on a grid as a GridFunction."""
     grid = np.asarray(grid, dtype=float)
-    vals = np.array([poisson_solution(prob, float(x), engine=engine, **kwargs) for x in grid])
-    return GridFunction(grid=grid, values=vals, extension=extension)
+    return GridFunction(grid=grid, values=_closed_form_ou(prob, grid), extension=extension)
 
 
 def lin_norm_diff(f_a: GridFunction, f_b: GridFunction) -> float:

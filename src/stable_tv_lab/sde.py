@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -106,7 +106,6 @@ class EulerConfig:
 class Ensemble:
     endpoints: np.ndarray  # (n, d); (2, n, d) for a coupled driver: stable, then Brownian
     t: float
-    provenance: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -246,7 +245,7 @@ def run_ensemble(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    kind, alpha = _check_run(driver, t)
+    kind, _ = _check_run(driver, t)
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     sizes = [min(BLOCK_SIZE, n - i * BLOCK_SIZE) for i in range(n_blocks)]
     start = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -265,16 +264,7 @@ def run_ensemble(
             blocks = list(pool.map(job, range(n_blocks)))
     else:
         blocks = [job(i) for i in range(n_blocks)]
-    endpoints = np.concatenate(blocks, axis=-2)
-    prov = {
-        "drift": drift.name,
-        "driver": kind if kind == "brownian" else f"{kind}({alpha})",
-        "dt": cfg.step_size(t),
-        "seed": rng.root_seed,
-        "stream": rng.stream_index,
-        "x0": np.asarray(x0, dtype=float).tolist(),
-    }
-    return Ensemble(endpoints=endpoints, t=t, provenance=prov)
+    return Ensemble(endpoints=np.concatenate(blocks, axis=-2), t=t)
 
 
 def mc_semigroup(h, drift, driver, x, t, n, rng, cfg: EulerConfig | None = None, workers: int = 1):

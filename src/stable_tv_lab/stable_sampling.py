@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,11 +65,6 @@ class SampleSet:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-
-class CharFnEstimate(NamedTuple):
-    value: complex
-    std_error: float
 
 
 def _unit_sym_stable(alpha: float, rng: RngStream, size) -> np.ndarray:
@@ -180,8 +174,8 @@ def sample_stable_vector(alpha: float, t: float, d: int, rng: RngStream, size=No
     return np.sqrt(s)[:, None] * z
 
 
-def empirical_char_fn(samples: SampleSet, xi) -> CharFnEstimate:
-    """(1/N) sum exp(i <xi, X_k>) with the generic 1/sqrt(N) error bound."""
+def empirical_char_fn(samples: SampleSet, xi) -> complex:
+    """(1/N) sum exp(i <xi, X_k>)."""
     values = samples.values
     xi = np.asarray(xi, dtype=float)
     if values.ndim == 1:
@@ -194,8 +188,7 @@ def empirical_char_fn(samples: SampleSet, xi) -> CharFnEstimate:
                 f"xi shape {xi.shape} does not match sample dimension {values.shape[1]}"
             )
         phase = values @ xi
-    val = complex(np.mean(np.exp(1j * phase)))
-    return CharFnEstimate(val, 1.0 / np.sqrt(samples.n))
+    return complex(np.mean(np.exp(1j * phase)))
 
 
 def robust_mean(samples: SampleSet, blocks: int = 32) -> float:

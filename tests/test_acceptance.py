@@ -20,6 +20,7 @@ agrees with 30-digit mpmath quadrature (see POISSON_F0 in test_pde.py).
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -57,9 +58,15 @@ def _verdict(k, ok, detail):
     assert ok, line
 
 
+# Reports are bit-identical at any worker count
+# (test_campaigns::test_workers_reach_the_campaign_and_change_nothing), so
+# the two Monte Carlo fixtures use every core.
+WORKERS = os.cpu_count() or 1
+
+
 @pytest.fixture(scope="module")
 def tv_theorem_report():
-    return run_campaign(ExperimentConfig("tv-theorem", seed=0))
+    return run_campaign(ExperimentConfig("tv-theorem", seed=0, workers=WORKERS))
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +76,7 @@ def poisson_report():
 
 @pytest.fixture(scope="module")
 def gradient_report():
-    return run_campaign(ExperimentConfig("gradient-probe", seed=0))
+    return run_campaign(ExperimentConfig("gradient-probe", seed=0, workers=WORKERS))
 
 
 def test_criterion_01_inverse_moment_identity():
@@ -103,7 +110,7 @@ def test_criterion_02_subordination_identity():
         x = sample_stable_vector(alpha, 1.0, 1, RngStream(2025, k), size=n)
         samples = SampleSet(x[:, 0])
         for xi in (0.5, 1.0, 2.0):
-            emp = empirical_char_fn(samples, xi).value.real
+            emp = empirical_char_fn(samples, xi).real
             target = math.exp(-abs(xi) ** alpha / 2.0)
             worst = max(worst, abs(emp - target))
     _verdict(2, worst < tol, f"worst CF error {worst:.5f} (< {tol:.5f})")

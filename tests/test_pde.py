@@ -14,6 +14,7 @@ from stable_tv_lab import (
     GridFunction,
     PoissonProblem,
     RngStream,
+    a_const,
     drift_registry,
     frac_laplacian_1d,
     generator_p,
@@ -70,6 +71,20 @@ def test_linear_extension_reproduces_affine_functions():
     assert f(-10.0) == pytest.approx(8.0)
 
 
+def test_scalar_calls_match_the_array_path():
+    # the quadrature kernels call f one float at a time, through a path of
+    # its own; it must return exactly the bits of the array path
+    rng = np.random.default_rng(0)
+    grid = np.arange(-4.0, 4.0 + 0.0025, 0.005)
+    xs = np.concatenate([rng.uniform(-6.0, 6.0, 2000), grid, [-4.0 - 1e-12, 4.0 + 1e-12]])
+    for f in (
+        GridFunction.from_callable(lambda y: np.cos(2.0 * y), grid),
+        GridFunction(grid, np.sin(grid) + 0.3 * grid),
+    ):
+        scalars = np.array([f(float(x)) for x in xs])
+        assert np.array_equal(scalars.view(np.int64), f(xs).view(np.int64))
+
+
 def test_callable_extension_has_no_side_model():
     f = _cos_grid()
     assert f(100.0) == pytest.approx(math.cos(100.0))
@@ -87,6 +102,22 @@ def test_frac_laplacian_symbol_on_cosines(alpha, xi):
         got = frac_laplacian_1d(f, alpha, x)
         want = -(abs(xi) ** alpha / 2.0) * math.cos(xi * x)
         assert got == pytest.approx(want, rel=1e-3, abs=1e-6)
+
+
+def test_callable_far_field_runs_until_its_bound_is_met():
+    # The far-field panels stop only once their bound on the remaining mass,
+    # 4 (max|f| + 1) A / (alpha z^alpha), is below 1e-10.  At alpha = 1.2
+    # that takes z past 2.3e8.
+    alpha, x, reach = 1.2, 0.3, [0.0]
+
+    def extension(y):
+        reach[0] = max(reach[0], float(np.max(np.abs(y))))
+        return np.cos(0.5 * y)
+
+    f = GridFunction.from_callable(extension, np.arange(-4.0, 4.0 + 0.0025, 0.005))
+    frac_laplacian_1d(f, alpha, x)
+    z = reach[0] - x
+    assert 4.0 * 2.0 * a_const(1, alpha) / (alpha * z ** alpha) < 1e-10
 
 
 def test_frac_laplacian_input_validation():
@@ -126,6 +157,19 @@ def test_poisson_solution_solves_the_equation():
         assert abs(resid) < 1e-2
 
 
+def test_generator_residual_at_every_grid_point():
+    # the poisson-rate grid, at all 601 points with |x| <= 3
+    grid = np.arange(-15.0, 15.0 + 1e-9, 0.01)
+    xs = grid[np.abs(grid) <= 3.0 + 1e-9]
+    assert xs.size == 601
+    f2 = poisson_solution_grid(PoissonProblem(h=np.cos, alpha=2.0, drift=OU), grid)
+    mu = math.exp(-0.25)
+    assert max(abs(generator_q(f2, OU, x) - (math.cos(x) - mu)) for x in xs) < 1e-3
+    fa = poisson_solution_grid(PoissonProblem(h=np.cos, alpha=1.9, drift=OU), grid)
+    mua = math.exp(-1.0 / 3.8)
+    assert max(abs(generator_p(fa, OU, 1.9, x) - (math.cos(x) - mua)) for x in xs) < 1e-2
+
+
 def test_poisson_mc_engine_agrees_with_closed_form():
     alpha, x = 1.8, 0.5
     mu = math.exp(-1.0 / (2.0 * alpha))
@@ -147,6 +191,8 @@ def test_poisson_engine_validation():
         poisson_solution(PoissonProblem(h=np.cos, alpha=1.5, drift=drift_registry("zero")), 0.0)
     with pytest.raises(ValueError):
         PoissonProblem(h=np.cos, alpha=1.0, drift=OU)
+    with pytest.raises(RuntimeError):  # the integral diverges unless mu_h = mu_alpha(cos)
+        poisson_solution(PoissonProblem(h=np.cos, alpha=1.5, drift=OU, mu_h=0.5), 0.0)
 
 
 def test_lin_norm_diff_requires_matching_grids():
