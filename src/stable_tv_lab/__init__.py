@@ -28,7 +28,6 @@ from stable_tv_lab.constants import (
 from stable_tv_lab.sde import (
     DriftField,
     EulerConfig,
-    Ensemble,
     drift_registry,
     probe_h1,
     probe_h2,

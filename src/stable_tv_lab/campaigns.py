@@ -61,7 +61,7 @@ DEFAULT_PARAMS = {
     "moment-check": {"alpha": [1.0, 1.25, 1.5, 1.75], "t": [0.5, 1.0, 2.0], "n": 1_000_000, "blocks": 32, "rtol": 0.02},
     "ou-rate": {"alpha": [1.9, 1.95, 1.99, 1.995]},
     "tv-theorem": {"alpha": [1.7, 1.8, 1.85, 1.9], "t": 5.0, "dt": 0.01, "n": 400_000, "xi": [0.5, 1.0, 2.0]},
-    "poisson-rate": {"alpha": [1.8, 1.9, 1.95], "x_half": 15.0, "x_step": 0.01, "residual_x": 3.0},
+    "poisson-rate": {"alpha": [1.8, 1.9, 1.95, 1.99], "x_half": 15.0, "x_step": 0.01, "residual_x": 3.0},
     "gradient-probe": {"alpha": [1.5], "t_grid": [1e-3, 1e-1], "t_nodes": 7, "n": 200_000},
 }
 
@@ -272,7 +272,7 @@ def coupled_ergodic_pair(alpha, t, dt, n, rng: RngStream, workers: int = 1):
     difference of cos/sin means, which is what the TV lower bound uses.
     Paths are simulated in fixed blocks so output ignores worker count.
     """
-    ens = run_ensemble(
+    x, y = run_ensemble(
         drift_registry("ou"),
         EulerConfig(dt=dt),
         ("coupled", alpha),
@@ -281,8 +281,7 @@ def coupled_ergodic_pair(alpha, t, dt, n, rng: RngStream, workers: int = 1):
         n,
         rng,
         workers=workers,
-    )
-    x, y = ens.endpoints[..., 0]
+    )[..., 0]
     return x, y
 
 

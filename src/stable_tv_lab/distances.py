@@ -123,13 +123,13 @@ def tv_from_samples_1d(a: SampleSet, b: SampleSet, bins: int | None = None) -> f
     return min(tv, 2.0)
 
 
-def tv_noise_floor(samples: SampleSet, bins: int | None = None, splits: int = 4) -> float:
-    """Self-distance of same-law halves: the estimator's resolution."""
+def tv_noise_floor(samples: SampleSet, bins: int | None = None) -> float:
+    """Self-distance of same-law halves, worst of 4 splits: the estimator's resolution."""
     v = _scalar_values(samples)
+    half = v.size // 2
     floors = []
-    for k in range(splits):
-        half = v.size // 2
-        perm = np.roll(np.arange(v.size), k * half // max(1, splits - 1))
+    for k in range(4):
+        perm = np.roll(np.arange(v.size), k * half // 3)
         floors.append(
             tv_from_samples_1d(SampleSet(v[perm[:half]]), SampleSet(v[perm[half:2 * half]]), bins)
         )

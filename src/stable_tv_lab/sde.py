@@ -60,25 +60,10 @@ class DriftField:
     name: str = "custom"
 
 
-def drift_registry(name: str, d: int = 1, **kwargs) -> DriftField:
-    """Built-in drifts: ou, custom-affine(A, c), zero."""
+def drift_registry(name: str, d: int = 1) -> DriftField:
+    """Built-in drifts: ou, zero."""
     if name == "ou":
         return DriftField(b=lambda x: -x, d=d, theta0=1.0, theta1=1.0, name="ou")
-    if name == "custom-affine":
-        A = np.atleast_2d(np.asarray(kwargs["A"], dtype=float))
-        c = np.atleast_1d(np.asarray(kwargs.get("c", np.zeros(d)), dtype=float))
-        sym = (A + A.T) / 2.0
-        theta0 = -float(np.linalg.eigvalsh(sym).max())
-        if theta0 <= 0.0:
-            raise ValueError("custom-affine drift must be dissipative (A + A^T < 0)")
-        theta1 = float(np.linalg.norm(A, 2))
-        return DriftField(
-            b=lambda x: x @ A.T + c,
-            d=d,
-            theta0=theta0,
-            theta1=theta1,
-            name="custom-affine",
-        )
     if name == "zero":
         return DriftField(b=lambda x: np.zeros_like(x), d=d, theta0=0.0, name="zero")
     raise KeyError(f"unknown drift {name!r}")
@@ -100,16 +85,6 @@ class EulerConfig:
 
     def step_size(self, t: float) -> float:
         return self.dt if self.dt is not None else min(1e-3, t / 100.0)
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    endpoints: np.ndarray  # (n, d); (2, n, d) for a coupled driver: stable, then Brownian
-    t: float
-
-    @property
-    def n(self) -> int:
-        return self.endpoints.shape[-2]
 
 
 def probe_h1(drift: DriftField, pairs) -> float:
@@ -232,8 +207,8 @@ def run_ensemble(
     n: int,
     rng: RngStream,
     workers: int = 1,
-) -> Ensemble:
-    """n independent endpoints; output independent of the worker count.
+) -> np.ndarray:
+    """The endpoints of n independent paths; independent of the worker count.
 
     x0 is one start point, shape (d,), or m of them, shape (m, d); the
     endpoints are (n, d) or (m, n, d), with a leading axis of 2 (stable,
@@ -264,7 +239,7 @@ def run_ensemble(
             blocks = list(pool.map(job, range(n_blocks)))
     else:
         blocks = [job(i) for i in range(n_blocks)]
-    return Ensemble(endpoints=np.concatenate(blocks, axis=-2), t=t)
+    return np.concatenate(blocks, axis=-2)
 
 
 def mc_semigroup(h, drift, driver, x, t, n, rng, cfg: EulerConfig | None = None, workers: int = 1):
@@ -277,10 +252,10 @@ def mc_semigroup(h, drift, driver, x, t, n, rng, cfg: EulerConfig | None = None,
     """
     if isinstance(driver, (tuple, list)) and driver[0] == "coupled":
         raise ValueError("mc_semigroup needs a single driver, not a coupled one")
-    ens = run_ensemble(drift, cfg or EulerConfig(), driver, x, t, n, rng, workers=workers)
-    vals = np.asarray(h(ens.endpoints[..., 0] if drift.d == 1 else ens.endpoints), dtype=float)
+    ends = run_ensemble(drift, cfg or EulerConfig(), driver, x, t, n, rng, workers=workers)
+    vals = np.asarray(h(ends[..., 0] if drift.d == 1 else ends), dtype=float)
     est = np.mean(vals, axis=-1)
     se = np.std(vals, axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.full(est.shape, np.inf)
-    if ens.endpoints.ndim == 2:
+    if ends.ndim == 2:
         return float(est), float(se)
     return est, se

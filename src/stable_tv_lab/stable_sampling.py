@@ -196,8 +196,8 @@ def robust_mean(samples: SampleSet, blocks: int = 32) -> float:
     values = np.asarray(samples.values, dtype=float)
     if values.ndim != 1:
         raise ValueError("robust_mean expects scalar samples")
-    if blocks < 1:
-        raise ValueError("blocks must be >= 1")
+    if not 1 <= blocks <= values.size:
+        raise ValueError(f"blocks must be in [1, {values.size}] (the sample count), got {blocks}")
     if blocks == 1:
         return float(np.mean(values))
     parts = np.array_split(values, blocks)

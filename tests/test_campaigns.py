@@ -95,12 +95,26 @@ def test_seed_changes_values_but_not_structure():
     assert a.checks != b.checks
 
 
-def test_cli_success_and_output(tmp_path, capsys):
+# data/*.csv that `stable-tv-lab <campaign> --out DIR` must write
+CLI_ARTIFACTS = {
+    "constants": ["constants"],
+    "ou-rate": ["ou_rate", "rate_fit"],
+    "poisson-rate": ["poisson", "lin_norm_shape"],
+}
+
+
+@pytest.mark.parametrize("campaign", sorted(CLI_ARTIFACTS))
+def test_cli_success_and_output(campaign, tmp_path, capsys):
     out = tmp_path / "cli-run"
-    assert main(["constants", "--out", str(out)]) == 0
+    assert main([campaign, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert json.loads(stdout)["passed"] is True
     assert (out / "report.json").exists()
+    for name in CLI_ARTIFACTS[campaign]:
+        assert (out / "data" / f"{name}.csv").exists()
+    if campaign == "poisson-rate":  # alpha = 1.99 is in the defaults
+        rows = (out / "data" / "poisson.csv").read_text().splitlines()
+        assert any(row.startswith("1.99,") for row in rows)
 
 
 def test_cli_config_file_and_failure_exit(tmp_path, capsys):

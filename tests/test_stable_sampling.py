@@ -125,6 +125,11 @@ def test_robust_mean_resists_heavy_tails():
 def test_robust_mean_of_constant_is_the_constant(c):
     s = SampleSet(np.full(256, c))
     assert robust_mean(s) == pytest.approx(c, abs=1e-12)
+    assert robust_mean(s, blocks=256) == pytest.approx(c, abs=1e-12)
+    # more blocks than samples would leave empty blocks, whose mean is NaN
+    for blocks in (0, 257):
+        with pytest.raises(ValueError):
+            robust_mean(s, blocks=blocks)
 
 
 @given(
