@@ -37,7 +37,9 @@ def main(argv=None) -> int:
             failed.append(name)
             for c in report.checks:
                 if not c["pass"]:
-                    print(f"    {c['name']}: {c['value']:.6g} vs {c['expected']:.6g} +- {c['tolerance']:.2g}")
+                    want = (f"{c['relation']} {c['expected']:.6g}" if "relation" in c
+                            else f"vs {c['expected']:.6g} +- {c['tolerance']:.2g}")
+                    print(f"    {c['name']}: {c['value']:.6g} {want}")
     if failed:
         print(f"failed campaigns: {', '.join(failed)}")
     return 1 if failed else 0

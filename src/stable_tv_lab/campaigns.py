@@ -3,7 +3,9 @@
 Every campaign is deterministic in (seed, params): data CSVs and the
 JSON report are value-identical across re-runs and worker counts.
 Failed checks never abort sibling checks; the report records each
-check as {name, value, expected, tolerance, pass}.
+check as {name, value, expected, tolerance, pass}.  A one-sided check
+records the gated number as value, its limit as expected and the
+comparison ("<" or "<=") as relation.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _campaign(name):
 
 DEFAULT_PARAMS = {
     "constants": {"d": [1, 2, 3], "alpha": [1.5, 1.9]},
-    "verify-samplers": {"alpha": [1.1, 1.5, 1.9], "t": [0.5, 1.0, 2.0], "xi": [0.5, 1.0, 2.0], "n": 100_000},
+    "verify-samplers": {"alpha": [1.1, 1.5, 1.9, 1.99], "t": [0.5, 1.0, 2.0], "xi": [0.5, 1.0, 2.0], "n": 100_000},
     "moment-check": {"alpha": [1.0, 1.25, 1.5, 1.75], "t": [0.5, 1.0, 2.0], "n": 1_000_000, "blocks": 32, "rtol": 0.02},
     "ou-rate": {"alpha": [1.9, 1.95, 1.99, 1.995]},
     "tv-theorem": {"alpha": [1.7, 1.8, 1.85, 1.9], "t": 5.0, "dt": 0.01, "n": 400_000, "xi": [0.5, 1.0, 2.0]},
@@ -136,6 +138,24 @@ def _check(checks, name, value, expected, tolerance, provenance=""):
             "expected": float(expected),
             "tolerance": float(tolerance),
             "pass": bool(ok),
+            "provenance": provenance,
+        }
+    )
+    return ok
+
+
+def _check_bound(checks, name, value, relation, limit, provenance=""):
+    """One-sided check: value < limit or value <= limit, by relation."""
+    below = value < limit if relation == "<" else value <= limit
+    ok = bool(np.isfinite(value)) and bool(below)
+    checks.append(
+        {
+            "name": name,
+            "value": float(value),
+            "expected": float(limit),
+            "tolerance": 0.0,
+            "relation": relation,
+            "pass": ok,
             "provenance": provenance,
         }
     )
@@ -314,7 +334,7 @@ def _tv_theorem(cfg, checks, data):
         prev = lb
         if floor is None:
             floor = tv_noise_floor(b_set, 64)
-            _check_true(checks, "noise-floor<=0.05", floor <= 0.05, f"floor={floor}")
+            _check_bound(checks, "noise-floor<=0.05", floor, "<=", 0.05, "Brownian sample self-distance")
         _check(
             checks,
             f"sample-tv-vs-exact[{alpha}]",
@@ -365,19 +385,22 @@ def _poisson_rate(cfg, checks, data):
     lin_vals = [r[2] for r in ratios]
     growth = max(log_vals) / log_vals[0]
     spread = max(lin_vals) / min(lin_vals)
-    _check_true(
+    _check_bound(
         checks,
         "lin-norm-log-upper-bound",
-        growth < 3.0,
-        f"max ratio / ratio at alpha0={alphas[0]}: {growth:.3f} (< 3); "
+        growth,
+        "<",
+        3.0,
+        f"max ratio / ratio at alpha0={alphas[0]}; "
         "||f_a - f_2|| / (eps log 1/eps) = " + ", ".join(f"{v:.4f}" for v in log_vals),
     )
-    _check_true(
+    _check_bound(
         checks,
         "lin-norm-linear-rate",
-        spread < 3.0,
-        f"spread {spread:.3f} (< 3); ||f_a - f_2|| / eps = "
-        + ", ".join(f"{v:.4f}" for v in lin_vals),
+        spread,
+        "<",
+        3.0,
+        "max ratio / min ratio; ||f_a - f_2|| / eps = " + ", ".join(f"{v:.4f}" for v in lin_vals),
     )
 
 

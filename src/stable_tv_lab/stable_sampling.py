@@ -8,8 +8,10 @@ Targets:
 The samplers use the Chambers-Mallows-Stuck transform (symmetric case)
 and the Kanter/Zolotarev transform (one-sided case) for a *unit-scale*
 draw, then apply a scale factor derived from the target exponent.  The
-scale algebra is the dominant failure mode, so it is pinned by CF and
-Laplace-transform acceptance tests, never trusted.
+one-sided draw is computed in log space, scale included, so it stays
+finite and positive up to alpha -> 2.  The scale algebra is the dominant
+failure mode, so it is pinned by CF and Laplace-transform acceptance
+tests, never trusted.
 """
 
 from __future__ import annotations
@@ -83,10 +85,6 @@ def _unit_sym_stable(alpha: float, rng: RngStream, size) -> np.ndarray:
 
 def _nonzero(draw, x):
     """x with its exact zeros replaced by further draws of draw(size)."""
-    if np.ndim(x) == 0:
-        while x == 0.0:
-            x = draw(None)
-        return x
     zero = x == 0.0
     while zero.any():
         x[zero] = draw(int(zero.sum()))
@@ -94,33 +92,57 @@ def _nonzero(draw, x):
     return x
 
 
-def _kanter(rho: float, theta, w):
-    a = (
-        np.sin((1.0 - rho) * theta)
-        * np.sin(rho * theta) ** (rho / (1.0 - rho))
-        / np.sin(theta) ** (1.0 / (1.0 - rho))
-    )
-    return (a / w) ** ((1.0 - rho) / rho)
+def _log_half_sin(half, scale=None):
+    """log(sin(x) / (2 scale)) for x = 2 half in (0, pi), overwriting half.
 
-
-def _unit_pos_stable(rho: float, rng: RngStream, size) -> np.ndarray:
-    """Kanter/Zolotarev draw with Laplace transform exp(-r^rho), rho in (0,1).
-
-    theta = 0 gives 0/0 and w = 0 an infinite draw.  Both are null events
-    (probability ~2^-53 each), so when a draw is not finite the exact zeros
-    of theta and w are redrawn from the same stream and the transform
-    applied again: rejection, which leaves the law unchanged.  The check
-    is one max per array.  A draw made non-finite by under- or overflow of
-    the powers (rho near 1) is not a null event and is not redrawn.
+    sin x = 2t / (1 + t^2) with t = tan(x / 2), which is finite and positive
+    on (0, pi).  numpy's AVX-512 builds vectorize float64 tan and log, not sin.
     """
-    theta = rng.uniform(0.0, np.pi, size)
-    w = rng.exponential(size)
-    s = _kanter(rho, theta, w)
-    if s.size and not math.isfinite(s.max()):
+    t = np.tan(half, out=half)
+    u = t * t
+    u += 1.0
+    if scale is not None:
+        u *= scale
+    np.divide(t, u, out=u)
+    return np.log(u, out=u)
+
+
+def _log_kanter(rho: float, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log S for the Kanter draw S = (A(theta) / w)^((1 - rho) / rho), with
+    A = sin((1 - rho) theta) sin(rho theta)^(rho / (1 - rho)) / sin(theta)^(1 / (1 - rho)):
+
+        log S = ((1 - rho) / rho) (log sin((1 - rho) theta) - log w)
+                + log sin(rho theta) - (1 / rho) log sin(theta).
+
+    Every coefficient stays bounded as rho -> 1, so nothing under- or
+    overflows where the powers of A would.  The log 2 that _log_half_sin
+    leaves out of each sine cancels: (1 - rho) / rho + 1 - 1 / rho = 0.
+    """
+    half = 0.5 * theta
+    log_s = _log_half_sin((1.0 - rho) * half, w)
+    log_s *= (1.0 - rho) / rho
+    log_s += _log_half_sin(rho * half)
+    log_s -= _log_half_sin(half) / rho
+    return log_s
+
+
+def _log_unit_pos_stable(rho: float, rng: RngStream, size) -> np.ndarray:
+    """log of a Kanter/Zolotarev draw with Laplace transform exp(-r^rho), rho in (0,1).
+
+    Always an array, shape (1,) for size=None.  theta = 0 gives a NaN and
+    w = 0 an infinite log.  Both are null events (probability ~2^-53 each),
+    so when a log is not finite the exact zeros of theta and w are redrawn
+    from the same stream and the kernel applied again: rejection, which
+    leaves the law unchanged.  The check is one max per array.
+    """
+    theta = np.atleast_1d(rng.uniform(0.0, np.pi, size))
+    w = np.atleast_1d(rng.exponential(size))
+    log_s = _log_kanter(rho, theta, w)
+    if log_s.size and not math.isfinite(log_s.max()):
         theta = _nonzero(lambda k: rng.uniform(0.0, np.pi, k), theta)
         w = _nonzero(rng.exponential, w)
-        s = _kanter(rho, theta, w)
-    return s
+        log_s = _log_kanter(rho, theta, w)
+    return log_s
 
 
 def sample_sym_stable(spec: StableSpec, rng: RngStream, size=None):
@@ -143,12 +165,14 @@ def sample_subordinator(spec: SubordinatorSpec, rng: RngStream, size=None):
 
     E exp(-r c S) = exp(-(cr)^rho) for a unit Kanter draw S, so the scale
     c must satisfy c^rho = t 2^{rho - 1} with rho = alpha/2, i.e.
-    c = t^{2/alpha} 2^{1 - 2/alpha}.
+    c = t^{2/alpha} 2^{1 - 2/alpha}.  The draw is exp(log c + log S).
     """
     alpha, t = spec.alpha, spec.time
-    rho = alpha / 2.0
-    scale = t ** (2.0 / alpha) * 2.0 ** (1.0 - 2.0 / alpha)
-    return scale * _unit_pos_stable(rho, rng, size)
+    log_scale = (2.0 / alpha) * math.log(t) + (1.0 - 2.0 / alpha) * math.log(2.0)
+    log_s = _log_unit_pos_stable(alpha / 2.0, rng, size)
+    log_s += log_scale
+    s = np.exp(log_s, out=log_s)
+    return s[0] if size is None else s
 
 
 def sample_stable_vector(alpha: float, t: float, d: int, rng: RngStream, size=None):

@@ -17,6 +17,7 @@ from stable_tv_lab import (
     sample_subordinator,
     sample_sym_stable,
 )
+from stable_tv_lab.stable_sampling import _log_kanter
 
 N = 100_000
 CF_TOL = 3.0 / np.sqrt(N)  # three-sigma band for a bounded test function
@@ -62,6 +63,44 @@ def test_subordinator_positivity_and_laplace(alpha):
         emp = float(np.mean(np.exp(-r * s)))
         target = np.exp(-t * (2.0 * r) ** (alpha / 2.0) / 2.0)
         assert abs(emp - target) < CF_TOL
+
+
+@pytest.mark.parametrize("alpha", [1.98, 1.99, 1.999])
+def test_subordinator_stays_finite_near_alpha_two(alpha):
+    # the Kanter powers have order 1/(1 - alpha/2), 200 at alpha = 1.99, and
+    # under- or overflow to NaN, inf or 0 unless the kernel works in logs
+    n = 1_000_000
+    s = sample_subordinator(SubordinatorSpec(alpha, 1.0), RngStream(0, 0), size=n)
+    assert np.all(np.isfinite(s)) and np.all(s > 0.0)
+    # E exp(-S_1) = exp(-2^{alpha/2} / 2)
+    emp = float(np.mean(np.exp(-s)))
+    assert abs(emp - np.exp(-(2.0 ** (alpha / 2.0)) / 2.0)) < 3.0 / np.sqrt(n)
+
+
+def test_stable_vector_has_no_nan_near_alpha_two():
+    x = sample_stable_vector(1.99, 1.0, 2, RngStream(0, 1), size=N)
+    assert not np.isnan(x).any()
+
+
+def _textbook_kanter(rho, theta, w):
+    a = (
+        np.sin((1.0 - rho) * theta)
+        * np.sin(rho * theta) ** (rho / (1.0 - rho))
+        / np.sin(theta) ** (1.0 / (1.0 - rho))
+    )
+    return (a / w) ** ((1.0 - rho) / rho)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 1.9, 1.95])
+def test_log_kanter_matches_the_power_form(alpha):
+    # below alpha ~ 1.97 the power form neither under- nor overflows, so the
+    # two agree to round-off on the same (theta, w)
+    gen = np.random.default_rng(5)
+    theta = gen.uniform(0.0, np.pi, 100_000)
+    w = gen.standard_exponential(100_000)
+    want = _textbook_kanter(alpha / 2.0, theta, w)
+    got = np.exp(_log_kanter(alpha / 2.0, theta, w))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_stable_vector_marginals_and_isotropy():
