@@ -8,10 +8,7 @@ standard Gaussian with variance t.
 
 from stable_tv_lab.rng import RngStream
 from stable_tv_lab.stable_sampling import (
-    StableSpec,
     SubordinatorSpec,
-    SampleSet,
-    sample_sym_stable,
     sample_subordinator,
     sample_stable_vector,
     empirical_char_fn,

@@ -37,13 +37,11 @@ from stable_tv_lab.pde import (
 from stable_tv_lab.rng import RngStream
 from stable_tv_lab.sde import EulerConfig, drift_registry, mc_semigroup, run_ensemble
 from stable_tv_lab.stable_sampling import (
-    SampleSet,
-    StableSpec,
     SubordinatorSpec,
     empirical_char_fn,
     robust_mean,
+    sample_stable_vector,
     sample_subordinator,
-    sample_sym_stable,
 )
 
 CAMPAIGNS = {}
@@ -225,13 +223,13 @@ def _verify_samplers(cfg, checks, data):
     stream = 0
     for alpha in p["alpha"]:
         for t in p["t"]:
-            sym = sample_sym_stable(StableSpec(alpha, t), RngStream(cfg.seed, stream), size=n)
+            sym = sample_stable_vector(alpha, t, 1, RngStream(cfg.seed, stream), n)[:, 0]
             stream += 1
             sub = sample_subordinator(SubordinatorSpec(alpha, t), RngStream(cfg.seed, stream), size=n)
             stream += 1
             _check_true(checks, f"subordinator-positive[{alpha},{t}]", np.all(sub > 0.0))
             for xi in p["xi"]:
-                emp = empirical_char_fn(SampleSet(sym), xi).real
+                emp = empirical_char_fn(sym, xi).real
                 target = np.exp(-t * abs(xi) ** alpha / 2.0)
                 rows.append(["sym", alpha, t, xi, emp, target, abs(emp - target)])
                 _check(checks, f"sym-cf[{alpha},{t},{xi}]", emp, target, tol)
@@ -252,7 +250,7 @@ def _moment_check(cfg, checks, data):
         for t in p["t"]:
             s = sample_subordinator(SubordinatorSpec(alpha, t), RngStream(cfg.seed, stream), size=n)
             stream += 1
-            est = robust_mean(SampleSet(1.0 / s), blocks)
+            est = robust_mean(1.0 / s, blocks)
             target = s_inverse_moment(alpha, t)
             rows.append([alpha, t, est, target, abs(est / target - 1.0)])
             _check(checks, f"inverse-moment[{alpha},{t}]", est, target, rtol * target)
@@ -317,9 +315,8 @@ def _tv_theorem(cfg, checks, data):
     floor = None
     for k, alpha in enumerate(alphas):
         x, y = coupled_ergodic_pair(alpha, t, dt, n, RngStream(cfg.seed, 1000 + k), workers=cfg.workers)
-        a_set, b_set = SampleSet(x), SampleSet(y)
-        lb = tv_cf_lower_bound(a_set, b_set, xis)
-        stv = tv_from_samples_1d(a_set, b_set, 64)
+        lb = tv_cf_lower_bound(x, y, xis)
+        stv = tv_from_samples_1d(x, y, 64)
         tv_exact = exact_tv_mu(alpha)
         rows.append([alpha, lb, stv, tv_exact])
         pts.append((alpha, lb))
@@ -333,7 +330,7 @@ def _tv_theorem(cfg, checks, data):
             )
         prev = lb
         if floor is None:
-            floor = tv_noise_floor(b_set, 64)
+            floor = tv_noise_floor(y, 64)
             _check_bound(checks, "noise-floor<=0.05", floor, "<=", 0.05, "Brownian sample self-distance")
         _check(
             checks,

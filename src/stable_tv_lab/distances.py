@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stable_tv_lab.stable_sampling import SampleSet
-
 
 @dataclass(frozen=True)
 class GridDensity:
@@ -92,14 +90,14 @@ def tv_from_densities(p: GridDensity, q: GridDensity) -> float:
     return min(tv, 2.0)
 
 
-def _scalar_values(s: SampleSet) -> np.ndarray:
-    v = np.asarray(s.values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("expected scalar samples")
+def _scalar_values(s: np.ndarray) -> np.ndarray:
+    v = np.asarray(s, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"expected a non-empty 1-D sample array, got shape {v.shape}")
     return v
 
 
-def tv_from_samples_1d(a: SampleSet, b: SampleSet, bins: int | None = None) -> float:
+def tv_from_samples_1d(a: np.ndarray, b: np.ndarray, bins: int | None = None) -> float:
     """Histogram TV estimate on the pooled range, in [0, 2].
 
     Downward-biased for overlapping laws at small bin counts and
@@ -123,20 +121,18 @@ def tv_from_samples_1d(a: SampleSet, b: SampleSet, bins: int | None = None) -> f
     return min(tv, 2.0)
 
 
-def tv_noise_floor(samples: SampleSet, bins: int | None = None) -> float:
+def tv_noise_floor(samples: np.ndarray, bins: int | None = None) -> float:
     """Self-distance of same-law halves, worst of 4 splits: the estimator's resolution."""
     v = _scalar_values(samples)
     half = v.size // 2
     floors = []
     for k in range(4):
         perm = np.roll(np.arange(v.size), k * half // 3)
-        floors.append(
-            tv_from_samples_1d(SampleSet(v[perm[:half]]), SampleSet(v[perm[half:2 * half]]), bins)
-        )
+        floors.append(tv_from_samples_1d(v[perm[:half]], v[perm[half:2 * half]], bins))
     return float(np.max(floors))
 
 
-def tv_cf_lower_bound(a: SampleSet, b: SampleSet, xis) -> float:
+def tv_cf_lower_bound(a: np.ndarray, b: np.ndarray, xis) -> float:
     """Certified TV lower bound (up to MC error) from cos/sin test functions.
 
     cos(xi .) and sin(xi .) are bounded by 1, so each difference of means

@@ -183,7 +183,8 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
       [z0, inf)    analytic integral of the linear extension model
     with delta = 2 grid cells.  A callable extension instead takes [1, inf)
     in panels growing by 4x, those past z0 calling the extension directly,
-    until a bound on the remaining mass falls below 1e-10.
+    until a bound on the remaining mass falls below 1e-10; it raises
+    RuntimeError when the panels' summed quad error estimates exceed 1e-6.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must be in (1, 2), got {alpha}")
@@ -212,17 +213,20 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
         fn = f.extension[1]
         off_grid = lambda z: (fn(x + z) + fn(x - z) - 2.0 * fx) * A * z ** (-1.0 - alpha)
         f_max = float(np.max(np.abs(f.values)))
-        far = 0.0
+        far = err = 0.0
         z_lo = 1.0
         while True:
             z_hi = z_lo * 4.0
-            part = quad(off_grid if z_lo >= z0 else kernel, z_lo, z_hi, limit=400, full_output=1)[0]
+            part, part_err = quad(off_grid if z_lo >= z0 else kernel, z_lo, z_hi, limit=400, full_output=1)[:2]
             far += part
+            err += part_err
             # worst-case remaining mass, |g| <= 4 max|f| on the panel scale
             bound = 4.0 * (f_max + 1.0) * A / (alpha * z_hi ** alpha)
             z_lo = z_hi
             if bound < 1e-10:
                 break
+        if err > 1e-6:
+            raise RuntimeError(f"far-field quadrature error estimate {err:.2e} exceeds 1e-6")
         return inner + mid + far
 
     far_grid, _ = quad(kernel, 1.0, z0, limit=400) if z0 > 1.0 else (0.0, 0.0)

@@ -8,8 +8,10 @@ ensembles of run_ensemble (and so mc_semigroup and the campaigns), the
 coupled driver ('coupled', alpha), which moves a stable and a Brownian
 path on shared Gaussians, and the shared state of the Monte Carlo Poisson
 engine.  The driver alone picks the increments, exact in law at every
-step: sqrt(h) z for Brownian motion and the subordinated sqrt(S) z, with
-S the alpha/2-stable subordinator, for the stable driver in every d.  The
+step: stable_sampling's one symmetric-stable sampler, sample_stable_vector,
+gives sqrt(h) z for Brownian motion and the subordinated sqrt(S) z, with
+S the alpha/2-stable subordinator, for the stable driver in every d; the
+coupled driver draws z and S itself, since its Brownian path needs z.  The
 only discretization error is in the drift term, which keeps the
 alpha -> 2 comparison clean.  EulerConfig holds the step dt and the
 diffusion matrix sigma, nothing else.  Paths are simulated in fixed-size
@@ -30,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from stable_tv_lab.rng import RngStream
-from stable_tv_lab.stable_sampling import SubordinatorSpec, sample_subordinator
+from stable_tv_lab.stable_sampling import SubordinatorSpec, sample_stable_vector, sample_subordinator
 
 BLOCK_SIZE = 4096  # paths per substream block; fixed so workers never matter
 
@@ -156,12 +158,9 @@ def _check_run(driver, t: float):
 
 def _increments(kind: str, alpha: float, h: float, n: int, d: int, rng: RngStream):
     """Exact-in-law driver increments over one step of size h, one (n, d) array per path."""
-    if kind == "brownian":
-        return [np.sqrt(h) * rng.normal((n, d))]
-    if kind == "stable":  # subordination: sqrt(S) z, rotationally symmetric in every d
-        s = sample_subordinator(SubordinatorSpec(alpha, h), rng, size=n)
-        return [np.sqrt(s)[:, None] * rng.normal((n, d))]
-    # coupled: the Gaussians first, then the subordinator
+    if kind != "coupled":  # alpha = 2 for Brownian motion
+        return [sample_stable_vector(alpha, h, d, rng, n)]
+    # coupled: the Gaussians first, then the subordinator; z also drives the Brownian path
     z = rng.normal((n, d))
     s = sample_subordinator(SubordinatorSpec(alpha, h), rng, size=n)
     return [np.sqrt(s)[:, None] * z, np.sqrt(h) * z]

@@ -1,17 +1,18 @@
 """Exact-in-law samplers under the half-speed normalization.
 
 Targets:
-  symmetric stable      E exp(i xi L_t)   = exp(-t |xi|^alpha / 2)
   stable subordinator   E exp(-r S_t)     = exp(-t (2r)^{alpha/2} / 2)
-  subordinated vector   W_{S_t} = sqrt(S_t) * N(0, I_d), same marginal CF.
+  symmetric stable      W_{S_t} = sqrt(S_t) * N(0, I_d), with
+                        E exp(i <xi, L_t>) = exp(-t |xi|^alpha / 2).
 
-The samplers use the Chambers-Mallows-Stuck transform (symmetric case)
-and the Kanter/Zolotarev transform (one-sided case) for a *unit-scale*
-draw, then apply a scale factor derived from the target exponent.  The
-one-sided draw is computed in log space, scale included, so it stays
-finite and positive up to alpha -> 2.  The scale algebra is the dominant
-failure mode, so it is pinned by CF and Laplace-transform acceptance
-tests, never trusted.
+The symmetric stable law is drawn one way only, by subordination, in
+every d: sample_stable_vector feeds both the Euler stepper and the
+sampler checks.  The subordinator uses the Kanter/Zolotarev transform for
+a *unit-scale* draw, then applies a scale factor derived from the target
+exponent.  The one-sided draw is computed in log space, scale included,
+so it stays finite and positive up to alpha -> 2.  The scale algebra is
+the dominant failure mode, so it is pinned by CF and Laplace-transform
+acceptance tests, never trusted.
 """
 
 from __future__ import annotations
@@ -22,20 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from stable_tv_lab.rng import RngStream
-
-
-@dataclass(frozen=True)
-class StableSpec:
-    """Symmetric stable target with char. fn. exp(-t |xi|^alpha / 2)."""
-
-    alpha: float
-    time: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if self.time <= 0.0:
-            raise ValueError(f"time must be positive, got {self.time}")
 
 
 @dataclass(frozen=True)
@@ -50,37 +37,6 @@ class SubordinatorSpec:
             raise ValueError(f"alpha must be in (0, 2), got {self.alpha}")
         if self.time <= 0.0:
             raise ValueError(f"time must be positive, got {self.time}")
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Immutable, non-empty i.i.d. sample collection."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.size == 0:
-            raise ValueError("SampleSet must be non-empty")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-def _unit_sym_stable(alpha: float, rng: RngStream, size) -> np.ndarray:
-    """CMS draw with char. fn. exp(-|xi|^alpha), symmetric (beta = 0)."""
-    v = rng.uniform(-np.pi / 2, np.pi / 2, size)
-    w = rng.exponential(size)
-    if alpha == 1.0:
-        return np.tan(v)
-    s = (
-        np.sin(alpha * v)
-        / np.cos(v) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
-    )
-    return s
 
 
 def _nonzero(draw, x):
@@ -145,21 +101,6 @@ def _log_unit_pos_stable(rho: float, rng: RngStream, size) -> np.ndarray:
     return log_s
 
 
-def sample_sym_stable(spec: StableSpec, rng: RngStream, size=None):
-    """Draw from the symmetric stable law with char. fn. exp(-t |xi|^alpha / 2).
-
-    The unit CMS draw has char. fn. exp(-|xi|^alpha); scaling by
-    (t/2)^{1/alpha} moves the exponent to t|xi|^alpha/2.  At alpha = 2
-    the target is Normal(0, t).
-    """
-    alpha, t = spec.alpha, spec.time
-    if alpha == 2.0:
-        out = np.sqrt(t) * rng.normal(size)
-    else:
-        out = (t / 2.0) ** (1.0 / alpha) * _unit_sym_stable(alpha, rng, size)
-    return out
-
-
 def sample_subordinator(spec: SubordinatorSpec, rng: RngStream, size=None):
     """Draw S_t with Laplace transform exp(-t (2r)^{alpha/2} / 2).
 
@@ -175,12 +116,11 @@ def sample_subordinator(spec: SubordinatorSpec, rng: RngStream, size=None):
     return s[0] if size is None else s
 
 
-def sample_stable_vector(alpha: float, t: float, d: int, rng: RngStream, size=None):
-    """Subordinated Gaussian vector with marginal CF exp(-t |xi|^alpha / 2).
+def sample_stable_vector(alpha: float, t: float, d: int, rng: RngStream, n: int) -> np.ndarray:
+    """n rotationally symmetric stable vectors with CF exp(-t |xi|^alpha / 2), shape (n, d).
 
-    Draws S ~ subordinator, returns sqrt(S) * N(0, I_d); the Brownian
-    branch alpha = 2 bypasses subordination.  Returns shape (d,) for
-    size=None, else (size, d).
+    Draws S ~ subordinator, then z ~ N(0, I_d), and returns sqrt(S) z; the
+    Brownian case alpha = 2 returns sqrt(t) z with no subordinator.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -188,19 +128,17 @@ def sample_stable_vector(alpha: float, t: float, d: int, rng: RngStream, size=No
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    shape = (d,) if size is None else (size, d)
-    z = rng.normal(shape)
     if alpha == 2.0:
-        return np.sqrt(t) * z
-    s = sample_subordinator(SubordinatorSpec(alpha, t), rng, size)
-    if size is None:
-        return np.sqrt(s) * z
-    return np.sqrt(s)[:, None] * z
+        return np.sqrt(t) * rng.normal((n, d))
+    s = sample_subordinator(SubordinatorSpec(alpha, t), rng, size=n)
+    return np.sqrt(s)[:, None] * rng.normal((n, d))
 
 
-def empirical_char_fn(samples: SampleSet, xi) -> complex:
-    """(1/N) sum exp(i <xi, X_k>)."""
-    values = samples.values
+def empirical_char_fn(samples: np.ndarray, xi) -> complex:
+    """(1/N) sum exp(i <xi, X_k>) over N scalar samples, shape (N,), or vectors, shape (N, d)."""
+    values = np.asarray(samples, dtype=float)
+    if values.size == 0:
+        raise ValueError("need at least one sample")
     xi = np.asarray(xi, dtype=float)
     if values.ndim == 1:
         if xi.ndim != 0:
@@ -215,9 +153,9 @@ def empirical_char_fn(samples: SampleSet, xi) -> complex:
     return complex(np.mean(np.exp(1j * phase)))
 
 
-def robust_mean(samples: SampleSet, blocks: int = 32) -> float:
+def robust_mean(samples: np.ndarray, blocks: int = 32) -> float:
     """Median-of-means over near-equal blocks; blocks=1 is the plain mean."""
-    values = np.asarray(samples.values, dtype=float)
+    values = np.asarray(samples, dtype=float)
     if values.ndim != 1:
         raise ValueError("robust_mean expects scalar samples")
     if not 1 <= blocks <= values.size:
@@ -226,4 +164,3 @@ def robust_mean(samples: SampleSet, blocks: int = 32) -> float:
         return float(np.mean(values))
     parts = np.array_split(values, blocks)
     return float(np.median([np.mean(p) for p in parts]))
-

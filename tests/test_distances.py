@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from stable_tv_lab import (
     GridDensity,
     RngStream,
-    SampleSet,
+    empirical_char_fn,
+    robust_mean,
     rate_fit,
     tv_cf_lower_bound,
     tv_from_densities,
@@ -64,8 +65,8 @@ def test_tv_from_densities_requires_shared_grid():
 def test_tv_from_samples_tracks_the_gaussian_answer():
     rng = RngStream(77, 0)
     n, c = 400_000, 1.0
-    a = SampleSet(rng.normal(n))
-    b = SampleSet(rng.normal(n) + c)
+    a = rng.normal(n)
+    b = rng.normal(n) + c
     exact = 2.0 * math.erf(c / (2.0 * math.sqrt(2.0)))
     floor = tv_noise_floor(a, bins=64)
     assert tv_from_samples_1d(a, b, bins=64) == pytest.approx(exact, abs=max(floor, 0.05))
@@ -73,10 +74,10 @@ def test_tv_from_samples_tracks_the_gaussian_answer():
 
 def test_tv_from_samples_extremes():
     rng = RngStream(78, 0)
-    same = SampleSet(rng.normal(100_000))
-    also_same = SampleSet(rng.normal(100_000))
+    same = rng.normal(100_000)
+    also_same = rng.normal(100_000)
     assert tv_from_samples_1d(same, also_same) < 0.05
-    far = SampleSet(rng.normal(100_000) + 100.0)
+    far = rng.normal(100_000) + 100.0
     assert tv_from_samples_1d(same, far) == pytest.approx(2.0, abs=0.01)
 
 
@@ -86,21 +87,37 @@ def test_tv_from_samples_extremes():
 )
 def test_tv_sample_estimator_stays_in_range(data, shift):
     assume(len(set(data)) > 1)  # a degenerate pooled sample has no histogram
-    a = SampleSet(np.asarray(data))
-    b = SampleSet(np.asarray(data) + shift)
+    a = np.asarray(data)
+    b = np.asarray(data) + shift
     assert 0.0 <= tv_from_samples_1d(a, b) <= 2.0
 
 
 def test_cf_lower_bound_is_a_lower_bound():
     rng = RngStream(80, 0)
     n, c = 200_000, 0.8
-    a = SampleSet(rng.normal(n))
-    b = SampleSet(rng.normal(n) + c)
+    a = rng.normal(n)
+    b = rng.normal(n) + c
     lb = tv_cf_lower_bound(a, b, [0.5, 1.0, 2.0])
     exact = 2.0 * math.erf(c / (2.0 * math.sqrt(2.0)))
     assert 0.0 < lb <= exact + 4.0 / math.sqrt(n)
     with pytest.raises(ValueError):
         tv_cf_lower_bound(a, b, [])
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [
+        lambda x: empirical_char_fn(x, 1.0),
+        robust_mean,
+        lambda x: tv_from_samples_1d(x, np.ones(100)),
+        tv_noise_floor,
+        lambda x: tv_cf_lower_bound(np.ones(100), x, [1.0]),
+    ],
+    ids=["empirical_char_fn", "robust_mean", "tv_from_samples_1d", "tv_noise_floor", "tv_cf_lower_bound"],
+)
+def test_estimators_reject_empty_samples(estimator):
+    with pytest.raises(ValueError):
+        estimator(np.empty(0))
 
 
 @pytest.mark.parametrize("exponent", [0.5, 1.0, 1.5])

@@ -120,6 +120,14 @@ def test_callable_far_field_runs_until_its_bound_is_met():
     assert 4.0 * 2.0 * a_const(1, alpha) / (alpha * z ** alpha) < 1e-10
 
 
+def test_callable_far_field_raises_on_quad_error():
+    # cos(50 .) oscillates too fast for the far-field panels: their summed
+    # quad error estimate is ~1e-4 and the sum is off by ~3e-3 relative
+    f = GridFunction.from_callable(lambda y: np.cos(50.0 * y), np.arange(-4.0, 4.0 + 0.0025, 0.005))
+    with pytest.raises(RuntimeError, match="far-field"):
+        frac_laplacian_1d(f, 1.2, 0.3)
+
+
 def test_frac_laplacian_input_validation():
     f = _cos_grid()
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from stable_tv_lab import (
     probe_h1,
     probe_h2,
     run_ensemble,
+    sample_stable_vector,
     semigroup_cos,
 )
 from stable_tv_lab.sde import BLOCK_SIZE, IntegrationError
@@ -105,6 +106,21 @@ def test_start_points_share_draws_and_match_single_runs(driver, workers):
     for j, start in enumerate(x0):
         one = run_ensemble(x0=start, **kwargs)
         np.testing.assert_array_equal(many[..., j, :, :], one)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "driver, alpha", [("brownian", 2.0), (("stable", 1.5), 1.5)], ids=["brownian", "stable"]
+)
+def test_stepper_draws_from_the_one_stable_sampler(driver, alpha, d):
+    # zero drift and one step from 0: each endpoint block is one sampler call on its substream
+    t, n, rng = 0.7, 2 * BLOCK_SIZE + 5, RngStream(23, 0)
+    ends = run_ensemble(drift_registry("zero", d=d), EulerConfig(dt=t), driver, np.zeros(d), t, n, rng)
+    sizes = [BLOCK_SIZE, BLOCK_SIZE, 5]
+    want = np.concatenate(
+        [sample_stable_vector(alpha, t, d, rng.substream(i), m) for i, m in enumerate(sizes)]
+    )
+    np.testing.assert_array_equal(ends, want)
 
 
 def test_start_points_must_broadcast_to_d_or_m_by_d():

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 
 from stable_tv_lab import (
     RngStream,
-    SampleSet,
-    StableSpec,
     SubordinatorSpec,
     empirical_char_fn,
     robust_mean,
     sample_stable_vector,
     sample_subordinator,
-    sample_sym_stable,
 )
 from stable_tv_lab.stable_sampling import _log_kanter
 
@@ -24,19 +21,22 @@ CF_TOL = 3.0 / np.sqrt(N)  # three-sigma band for a bounded test function
 
 
 def test_spec_validation():
+    rng = RngStream(0, 0)
     with pytest.raises(ValueError):
-        StableSpec(0.0, 1.0)
+        sample_stable_vector(0.0, 1.0, 1, rng, 10)
     with pytest.raises(ValueError):
-        StableSpec(2.1, 1.0)
+        sample_stable_vector(2.1, 1.0, 1, rng, 10)
     with pytest.raises(ValueError):
-        StableSpec(1.5, 0.0)
+        sample_stable_vector(1.5, 0.0, 1, rng, 10)
+    with pytest.raises(ValueError):
+        sample_stable_vector(1.5, 1.0, 0, rng, 10)
     with pytest.raises(ValueError):
         SubordinatorSpec(2.0, 1.0)  # subordinator needs alpha < 2
 
 
 def test_alpha_two_is_gaussian_with_variance_t():
     t = 3.0
-    x = sample_sym_stable(StableSpec(2.0, t), RngStream(11, 0), size=N)
+    x = sample_stable_vector(2.0, t, 1, RngStream(11, 0), N)[:, 0]
     assert np.mean(x) == pytest.approx(0.0, abs=4 * np.sqrt(t / N))
     assert np.var(x) == pytest.approx(t, rel=0.02)
 
@@ -45,7 +45,7 @@ def test_alpha_two_is_gaussian_with_variance_t():
 @pytest.mark.parametrize("t", [0.5, 2.0])
 def test_sym_stable_char_fn(alpha, t):
     # half-speed convention: E exp(i xi L_t) = exp(-t |xi|^alpha / 2)
-    x = SampleSet(sample_sym_stable(StableSpec(alpha, t), RngStream(7, 1), size=N))
+    x = sample_stable_vector(alpha, t, 1, RngStream(7, 1), N)[:, 0]
     for xi in (0.5, 1.0, 2.0):
         emp = empirical_char_fn(x, xi)
         target = np.exp(-t * abs(xi) ** alpha / 2.0)
@@ -78,7 +78,7 @@ def test_subordinator_stays_finite_near_alpha_two(alpha):
 
 
 def test_stable_vector_has_no_nan_near_alpha_two():
-    x = sample_stable_vector(1.99, 1.0, 2, RngStream(0, 1), size=N)
+    x = sample_stable_vector(1.99, 1.0, 2, RngStream(0, 1), N)
     assert not np.isnan(x).any()
 
 
@@ -105,7 +105,7 @@ def test_log_kanter_matches_the_power_form(alpha):
 
 def test_stable_vector_marginals_and_isotropy():
     alpha, t, d = 1.5, 1.0, 3
-    x = sample_stable_vector(alpha, t, d, RngStream(7, 3), size=N)
+    x = sample_stable_vector(alpha, t, d, RngStream(7, 3), N)
     assert x.shape == (N, d)
     target = np.exp(-t / 2.0)  # |xi| = 1
     for axis in range(d):
@@ -147,8 +147,8 @@ def test_kanter_redraws_exact_zeros():
 
 
 def test_sampler_replays_with_same_stream():
-    a = sample_sym_stable(StableSpec(1.5, 1.0), RngStream(42, 9), size=1000)
-    b = sample_sym_stable(StableSpec(1.5, 1.0), RngStream(42, 9), size=1000)
+    a = sample_stable_vector(1.5, 1.0, 2, RngStream(42, 9), 1000)
+    b = sample_stable_vector(1.5, 1.0, 2, RngStream(42, 9), 1000)
     np.testing.assert_array_equal(a, b)
 
 
@@ -156,13 +156,13 @@ def test_robust_mean_resists_heavy_tails():
     # 1/S has mean 4 for alpha = 1, t = 1 but infinite variance would break
     # a plain average's error bars; the median-of-means stays near 4
     s = sample_subordinator(SubordinatorSpec(1.0, 1.0), RngStream(3, 0), size=500_000)
-    est = robust_mean(SampleSet(1.0 / s))
+    est = robust_mean(1.0 / s)
     assert est == pytest.approx(4.0, rel=0.02)
 
 
 @given(c=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
 def test_robust_mean_of_constant_is_the_constant(c):
-    s = SampleSet(np.full(256, c))
+    s = np.full(256, c)
     assert robust_mean(s) == pytest.approx(c, abs=1e-12)
     assert robust_mean(s, blocks=256) == pytest.approx(c, abs=1e-12)
     # more blocks than samples would leave empty blocks, whose mean is NaN
@@ -177,12 +177,12 @@ def test_robust_mean_of_constant_is_the_constant(c):
     )
 )
 def test_robust_mean_stays_within_sample_range(vals):
-    s = SampleSet(np.asarray(vals))
+    s = np.asarray(vals)
     m = robust_mean(s, blocks=8)
     assert min(vals) - 1e-9 <= m <= max(vals) + 1e-9
 
 
 def test_empirical_char_fn_is_bounded():
-    x = SampleSet(sample_sym_stable(StableSpec(1.3, 1.0), RngStream(1, 4), size=10_000))
+    x = sample_stable_vector(1.3, 1.0, 1, RngStream(1, 4), 10_000)[:, 0]
     for xi in (0.1, 1.0, 5.0):
         assert abs(empirical_char_fn(x, xi)) <= 1.0 + 1e-12
