@@ -8,7 +8,6 @@ standard Gaussian with variance t.
 
 from stable_tv_lab.rng import RngStream
 from stable_tv_lab.stable_sampling import (
-    SubordinatorSpec,
     sample_subordinator,
     sample_stable_vector,
     empirical_char_fn,
@@ -40,20 +39,18 @@ from stable_tv_lab.distances import (
     rate_fit,
 )
 from stable_tv_lab.ou import (
-    OuLawSpec,
     transition_cf,
     ergodic_density,
     exact_tv_mu,
     lb_curve,
-    semigroup_cos,
 )
 from stable_tv_lab.pde import (
     GridFunction,
-    PoissonProblem,
     frac_laplacian_1d,
     generator_q,
     generator_p,
-    poisson_solution,
+    poisson_solution_grid,
+    poisson_solution_mc,
     lin_norm_diff,
 )
 

@@ -26,9 +26,8 @@ from stable_tv_lab.distances import (
     tv_from_samples_1d,
     tv_noise_floor,
 )
-from stable_tv_lab.ou import exact_tv_mu, lb_curve
+from stable_tv_lab.ou import exact_tv_mu, lb_curve, transition_cf
 from stable_tv_lab.pde import (
-    PoissonProblem,
     generator_p,
     generator_q,
     lin_norm_diff,
@@ -37,7 +36,6 @@ from stable_tv_lab.pde import (
 from stable_tv_lab.rng import RngStream
 from stable_tv_lab.sde import EulerConfig, drift_registry, mc_semigroup, run_ensemble
 from stable_tv_lab.stable_sampling import (
-    SubordinatorSpec,
     empirical_char_fn,
     robust_mean,
     sample_stable_vector,
@@ -225,7 +223,7 @@ def _verify_samplers(cfg, checks, data):
         for t in p["t"]:
             sym = sample_stable_vector(alpha, t, 1, RngStream(cfg.seed, stream), n)[:, 0]
             stream += 1
-            sub = sample_subordinator(SubordinatorSpec(alpha, t), RngStream(cfg.seed, stream), size=n)
+            sub = sample_subordinator(alpha, t, RngStream(cfg.seed, stream), n)
             stream += 1
             _check_true(checks, f"subordinator-positive[{alpha},{t}]", np.all(sub > 0.0))
             for xi in p["xi"]:
@@ -248,7 +246,7 @@ def _moment_check(cfg, checks, data):
     stream = 0
     for alpha in p["alpha"]:
         for t in p["t"]:
-            s = sample_subordinator(SubordinatorSpec(alpha, t), RngStream(cfg.seed, stream), size=n)
+            s = sample_subordinator(alpha, t, RngStream(cfg.seed, stream), n)
             stream += 1
             est = robust_mean(1.0 / s, blocks)
             target = s_inverse_moment(alpha, t)
@@ -355,16 +353,16 @@ def _poisson_rate(cfg, checks, data):
     xr = float(p["residual_x"])
     x_probe = np.arange(-xr, xr + 1e-9, 0.5)
     rows = [["alpha", "x", "f_alpha", "residual"]]
-    f2 = poisson_solution_grid(PoissonProblem(h=np.cos, alpha=2.0, drift=ou), grid)
-    mu2 = np.exp(-0.25)
+    f2 = poisson_solution_grid(2.0, grid)
+    mu2 = transition_cf(2.0, 1.0).real
     res2 = [abs(generator_q(f2, ou, x) - (np.cos(x) - mu2)) for x in x_probe]
     for x, r in zip(x_probe, res2):
         rows.append([2.0, x, float(f2(x)), r])
     _check(checks, "residual[alpha=2]", max(res2), 0.0, 1e-3, "Brownian generator residual")
     ratios = []
     for alpha in alphas:
-        fa = poisson_solution_grid(PoissonProblem(h=np.cos, alpha=alpha, drift=ou), grid)
-        mua = np.exp(-1.0 / (2.0 * alpha))
+        fa = poisson_solution_grid(alpha, grid)
+        mua = transition_cf(alpha, 1.0).real
         res = [abs(generator_p(fa, ou, alpha, x) - (np.cos(x) - mua)) for x in x_probe]
         for x, r in zip(x_probe, res):
             rows.append([alpha, x, float(fa(x)), r])

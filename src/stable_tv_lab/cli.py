@@ -1,7 +1,9 @@
 """Command-line entry point: stable-tv-lab <campaign> [--config FILE] ...
 
-Exit status is nonzero iff at least one check fails.  STABLE_TV_LAB_SEED
-and STABLE_TV_LAB_WORKERS override seed and worker count.
+Exit status is 1 when at least one check fails, and 2, with argparse's
+usage message, for a bad command line or config (an unknown campaign or
+params key, workers < 1).  STABLE_TV_LAB_SEED and STABLE_TV_LAB_WORKERS
+override seed and worker count.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _config(args) -> ExperimentConfig:
     seed = args.seed
     if seed is None and "STABLE_TV_LAB_SEED" in os.environ:
         seed = int(os.environ["STABLE_TV_LAB_SEED"])
@@ -33,16 +34,24 @@ def main(argv=None) -> int:
     if workers is None and "STABLE_TV_LAB_WORKERS" in os.environ:
         workers = int(os.environ["STABLE_TV_LAB_WORKERS"])
     if args.config:
-        cfg = ExperimentConfig.from_file(
+        return ExperimentConfig.from_file(
             args.config, campaign=args.campaign, seed=seed, output_dir=args.out, workers=workers
         )
-    else:
-        cfg = ExperimentConfig(
-            campaign=args.campaign,
-            seed=seed if seed is not None else 0,
-            output_dir=args.out,
-            workers=workers if workers is not None else 1,
-        )
+    return ExperimentConfig(
+        campaign=args.campaign,
+        seed=seed if seed is not None else 0,
+        output_dir=args.out,
+        workers=workers if workers is not None else 1,
+    )
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = _config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run_campaign(cfg)
     json.dump(report.as_dict(), sys.stdout, indent=2)
     print()

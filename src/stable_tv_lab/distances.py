@@ -94,6 +94,8 @@ def _scalar_values(s: np.ndarray) -> np.ndarray:
     v = np.asarray(s, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a non-empty 1-D sample array, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("samples must be finite")
     return v
 
 
@@ -161,10 +163,10 @@ def rate_fit(points) -> RateFit:
         raise ValueError("need at least 3 points")
     eps = np.array([2.0 - a for a, _ in points])
     vals = np.array([v for _, v in points])
-    if np.any(eps <= 0.0):
+    if not np.all(eps > 0.0):  # a NaN alpha fails too
         raise ValueError("all alpha must be < 2")
-    if np.any(vals <= 0.0):
-        raise ValueError("all values must be positive")
+    if not np.all((vals > 0.0) & np.isfinite(vals)):
+        raise ValueError("all values must be positive and finite")
     x, y = np.log(eps), np.log(vals)
     if np.ptp(x) < 1e-12:
         raise ValueError("degenerate abscissae")

@@ -5,17 +5,20 @@ from x has characteristic function
 
     exp(i xi e^{-t} x) * exp(-|xi|^alpha (1 - e^{-alpha t}) / (2 alpha)),
 
-so the ergodic law mu_alpha has CF exp(-|xi|^alpha / (2 alpha)); at
-alpha = 2 this is Normal(0, 1/2).  Densities are recovered by cosine
-inversion, one vector-valued quadrature for all knots, and the exact TV
-between mu_alpha and mu_2 comes from the grid densities.
+so the ergodic law mu_alpha, the law at t = inf, has CF
+exp(-|xi|^alpha / (2 alpha)); at alpha = 2 this is Normal(0, 1/2).
+transition_cf(alpha, xi, x, t) evaluates this CF, with t = inf by default,
+and mu_alpha(cos) is transition_cf(alpha, 1.0).real.  Densities live on one
+fixed grid, GRID_CELLS cells on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH], and
+are recovered by cosine inversion, one vector-valued quadrature for all
+knots; the exact TV between mu_alpha and mu_2 comes from the grid
+densities.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad_vec
@@ -24,52 +27,28 @@ from scipy.interpolate import CubicSpline
 from stable_tv_lab.constants import a_const
 from stable_tv_lab.distances import GridDensity, tv_from_densities
 
-# Defaults for TV-grade density grids.
+# The TV-grade density grid: 2^16 cells on [-40, 40], inverted at knots
+# 0.02 apart.
 GRID_HALF_WIDTH = 40.0
 GRID_CELLS = 2 ** 16
+KNOT_SPACING = 0.02
 ALPHA_TV_RANGE = (1.05, 1.9995)
 
 
-@dataclass(frozen=True)
-class OuLawSpec:
-    alpha: float
-    kind: str = "ergodic"  # ergodic | transition
-    x: float = 0.0
-    t: float = 0.0
-
-    def __post_init__(self):
-        if not 1.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must be in (1, 2], got {self.alpha}")
-        if self.kind not in ("ergodic", "transition"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "transition" and self.t < 0.0:
-            raise ValueError("transition time must be >= 0")
-
-
-def transition_cf(spec: OuLawSpec, xi: float) -> complex:
-    """Characteristic function of the OU law described by spec."""
-    alpha = spec.alpha
-    if spec.kind == "ergodic":
-        return complex(np.exp(-abs(xi) ** alpha / (2.0 * alpha)))
-    decay = (1.0 - math.exp(-alpha * spec.t)) / (2.0 * alpha)
-    return np.exp(1j * xi * math.exp(-spec.t) * spec.x) * math.exp(-abs(xi) ** alpha * decay)
+def transition_cf(alpha: float, xi: float, x: float = 0.0, t: float = math.inf) -> complex:
+    """CF at xi of the OU law at time t from x; t = inf (the default) is mu_alpha."""
+    if not 1.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must be in (1, 2], got {alpha}")
+    if not t >= 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    decay = (1.0 - math.exp(-alpha * t)) / (2.0 * alpha)
+    return complex(np.exp(1j * xi * math.exp(-t) * x) * math.exp(-abs(xi) ** alpha * decay))
 
 
 def lb_curve(alpha: float) -> float:
-    """Cosine TV lower bound between mu_2 and mu_alpha: e^{-1/4} - e^{-1/(2 alpha)}."""
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must be in (1, 2], got {alpha}")
-    return math.exp(-0.25) - math.exp(-1.0 / (2.0 * alpha))
-
-
-def semigroup_cos(alpha: float, x: float, t: float) -> float:
-    """P_t cos(x) for the stable OU: cos(e^{-t} x) e^{-(1 - e^{-alpha t})/(2 alpha)}."""
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must be in (1, 2], got {alpha}")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    decay = (1.0 - math.exp(-alpha * t)) / (2.0 * alpha)
-    return math.cos(math.exp(-t) * x) * math.exp(-decay)
+    """Cosine TV lower bound between mu_2 and mu_alpha: mu_2(cos) - mu_alpha(cos),
+    which is e^{-1/4} - e^{-1/(2 alpha)}."""
+    return transition_cf(2.0, 1.0).real - transition_cf(alpha, 1.0).real
 
 
 def _cos_transform(alpha: float, xs: np.ndarray) -> np.ndarray:
@@ -90,21 +69,15 @@ def _cos_transform(alpha: float, xs: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _ergodic_spline(alpha: float, x_max: float, knot_spacing: float):
-    """Cubic spline of the ergodic density on [0, x_max] (density is even)."""
-    knots = np.arange(0.0, x_max + knot_spacing, knot_spacing)
+def _ergodic_spline(alpha: float):
+    """Cubic spline of the ergodic density on [0, GRID_HALF_WIDTH] (density is even)."""
+    knots = np.arange(0.0, GRID_HALF_WIDTH + KNOT_SPACING, KNOT_SPACING)
     vals = _cos_transform(alpha, knots)
     return CubicSpline(knots, vals)
 
 
-def ergodic_density(
-    alpha: float,
-    x_min: float = -GRID_HALF_WIDTH,
-    x_max: float = GRID_HALF_WIDTH,
-    n_cells: int = GRID_CELLS,
-    knot_spacing: float = 0.02,
-) -> GridDensity:
-    """Ergodic density of the stable OU on a uniform grid.
+def ergodic_density(alpha: float) -> GridDensity:
+    """Ergodic density of the stable OU on the grid of GRID_CELLS cells on +-GRID_HALF_WIDTH.
 
     alpha = 2 is the exact Normal(0, 1/2) density.  For alpha < 2 the
     density comes from cosine inversion at spline knots (the density and
@@ -114,16 +87,15 @@ def ergodic_density(
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"alpha must be in (1, 2], got {alpha}")
-    if not (x_min < 0.0 < x_max):
-        raise ValueError("grid must contain 0")
-    grid = np.linspace(x_min, x_max, n_cells + 1)
+    x_min, x_max = -GRID_HALF_WIDTH, GRID_HALF_WIDTH
+    grid = np.linspace(x_min, x_max, GRID_CELLS + 1)
     if alpha == 2.0:
         # CF exp(-xi^2/4): Normal(0, 1/2)
         values = np.exp(-grid ** 2) / math.sqrt(math.pi)
         density = GridDensity(x_min, x_max, values, tail_exponent=2.0, tail_c=0.0)
         density.check_normalized()
         return density
-    spline = _ergodic_spline(alpha, max(abs(x_min), abs(x_max)), knot_spacing)
+    spline = _ergodic_spline(alpha)
     values = np.clip(spline(np.abs(grid)), 0.0, None)
     tail_c = a_const(1, alpha) / alpha
     density = GridDensity(x_min, x_max, values, tail_exponent=alpha, tail_c=tail_c)
@@ -139,15 +111,13 @@ def ergodic_density(
 
 
 @functools.lru_cache(maxsize=64)
-def _exact_tv_cached(alpha: float, x_half: float, n_cells: int) -> float:
-    p = ergodic_density(alpha, -x_half, x_half, n_cells)
-    q = ergodic_density(2.0, -x_half, x_half, n_cells)
-    return tv_from_densities(p, q)
+def _exact_tv_cached(alpha: float) -> float:
+    return tv_from_densities(ergodic_density(alpha), ergodic_density(2.0))
 
 
-def exact_tv_mu(alpha: float, x_half: float = GRID_HALF_WIDTH, n_cells: int = GRID_CELLS) -> float:
+def exact_tv_mu(alpha: float) -> float:
     """Deterministic TV(mu_alpha, mu_2) from matched grid densities."""
     lo, hi = ALPHA_TV_RANGE
     if not lo <= alpha <= hi:
         raise ValueError(f"alpha must be in [{lo}, {hi}] for exact TV, got {alpha}")
-    return _exact_tv_cached(float(alpha), float(x_half), int(n_cells))
+    return _exact_tv_cached(float(alpha))

@@ -6,9 +6,10 @@ applying it to cos(xi x) must return -(|xi|^alpha / 2) cos(xi x).  This
 symbol check pins the normalization of the whole module.
 
 Poisson solutions follow the probabilistic representation
-f(x) = int_0^inf [mu(h) - P_t h(x)] dt, computed either from the OU
-closed form (one vectorized integral for a whole grid) or from a Monte
-Carlo ensemble shared across time nodes.
+f(x) = int_0^inf [mu(h) - P_t h(x)] dt.  poisson_solution_grid solves the
+one problem with a closed form, the OU drift with h = cos, on a whole grid
+in one vectorized integral; poisson_solution_mc estimates f(x) for any h
+and drift from a Monte Carlo ensemble shared across time nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.integrate import quad, quad_vec, simpson
 from scipy.interpolate import CubicSpline
 
 from stable_tv_lab.constants import a_const
-from stable_tv_lab.rng import RngStream
+from stable_tv_lab.ou import transition_cf
 from stable_tv_lab.sde import DriftField, EulerConfig, advance
 
 
@@ -160,18 +161,6 @@ class GridFunction:
         )
 
 
-@dataclass(frozen=True)
-class PoissonProblem:
-    h: Callable
-    alpha: float
-    drift: DriftField
-    mu_h: float | None = None
-
-    def __post_init__(self):
-        if not 1.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must be in (1, 2], got {self.alpha}")
-
-
 def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
     """Compensated singular quadrature of the fractional Laplacian at x.
 
@@ -183,8 +172,9 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
       [z0, inf)    analytic integral of the linear extension model
     with delta = 2 grid cells.  A callable extension instead takes [1, inf)
     in panels growing by 4x, those past z0 calling the extension directly,
-    until a bound on the remaining mass falls below 1e-10; it raises
-    RuntimeError when the panels' summed quad error estimates exceed 1e-6.
+    until a bound on the remaining mass falls below 1e-10.  Either way the
+    call raises RuntimeError when the summed error estimates of its quad
+    calls exceed 1e-6.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must be in (1, 2), got {alpha}")
@@ -203,7 +193,7 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
     f2 = float(f._spline(x, 2))
     inner = f2 * A * delta ** (2.0 - alpha) / (2.0 - alpha)
 
-    mid, _ = quad(kernel, delta, 1.0, limit=200)
+    mid, err = quad(kernel, delta, 1.0, limit=200, full_output=1)[:2]
 
     # z0: beyond it both x+z and x-z are off the grid
     z0 = max(grid[-1] - x, x - grid[0])
@@ -213,7 +203,7 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
         fn = f.extension[1]
         off_grid = lambda z: (fn(x + z) + fn(x - z) - 2.0 * fx) * A * z ** (-1.0 - alpha)
         f_max = float(np.max(np.abs(f.values)))
-        far = err = 0.0
+        far = 0.0
         z_lo = 1.0
         while True:
             z_hi = z_lo * 4.0
@@ -225,18 +215,20 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
             z_lo = z_hi
             if bound < 1e-10:
                 break
-        if err > 1e-6:
-            raise RuntimeError(f"far-field quadrature error estimate {err:.2e} exceeds 1e-6")
-        return inner + mid + far
-
-    far_grid, _ = quad(kernel, 1.0, z0, limit=400) if z0 > 1.0 else (0.0, 0.0)
-    al, bl = f.side_model(0)
-    ar, br = f.side_model(1)
-    z_star = max(z0, 1.0)
-    c0 = (ar + br * x) + (al + bl * x) - 2.0 * fx
-    c1 = br - bl
-    tail = A * (c0 / (alpha * z_star ** alpha) + c1 * z_star ** (1.0 - alpha) / (alpha - 1.0))
-    return inner + mid + far_grid + tail
+        total = inner + mid + far
+    else:
+        far_grid, far_err = quad(kernel, 1.0, z0, limit=400, full_output=1)[:2] if z0 > 1.0 else (0.0, 0.0)
+        err += far_err
+        al, bl = f.side_model(0)
+        ar, br = f.side_model(1)
+        z_star = max(z0, 1.0)
+        c0 = (ar + br * x) + (al + bl * x) - 2.0 * fx
+        c1 = br - bl
+        tail = A * (c0 / (alpha * z_star ** alpha) + c1 * z_star ** (1.0 - alpha) / (alpha - 1.0))
+        total = inner + mid + far_grid + tail
+    if not err <= 1e-6:
+        raise RuntimeError(f"summed quad error estimate {err:.2e} exceeds 1e-6")
+    return total
 
 
 def generator_q(f: GridFunction, drift: DriftField, x: float) -> float:
@@ -251,76 +243,46 @@ def generator_p(f: GridFunction, drift: DriftField, alpha: float, x: float) -> f
     return bx * f.deriv1(x) + frac_laplacian_1d(f, alpha, x)
 
 
-def _closed_form_ou(prob: PoissonProblem, xs: np.ndarray) -> np.ndarray:
-    """f(x) = -int_0^1 [cos(u x) e^{-(1 - u^alpha)/(2 alpha)} - mu] / u du at every x.
+def poisson_solution_grid(alpha: float, grid) -> GridFunction:
+    """The OU Poisson solution for h = cos on a grid, with the linear extension.
 
-    This is the time integral with u = e^{-t}: P_t cos(x) is
-    cos(u x) e^{-(1 - u^alpha)/(2 alpha)}, and the whole grid is one
-    vector-valued quadrature.  The integrand is O(u^{alpha - 1}) at u = 0
-    only for mu = mu_alpha(cos); any other mu_h makes the integral diverge
-    like log(1/u), which exhausts the subintervals and raises.
+    f(x) = -int_0^1 [cos(u x) e^{-(1 - u^alpha)/(2 alpha)} - mu_alpha(cos)] / u du
+    is the time integral with u = e^{-t}: P_t cos(x) is
+    cos(u x) e^{-(1 - u^alpha)/(2 alpha)} (alpha = 2 is the Brownian case),
+    and the whole grid is one vector-valued quadrature.  The integrand is
+    O(u^{alpha - 1}) at u = 0.  Since int_0^inf (A P_t h) dt = mu(h) - h,
+    f solves the Poisson equation A f = h - mu(h); the residual tests pin
+    the sign.
     """
-    if prob.drift.name != "ou":
-        raise ValueError("closed-form engine requires the OU drift")
-    alpha = prob.alpha
-    mu = prob.mu_h if prob.mu_h is not None else math.exp(-1.0 / (2.0 * alpha))
+    xs = np.asarray(grid, dtype=float)
+    mu = transition_cf(alpha, 1.0).real
     integrand = lambda u: (np.cos(u * xs) * math.exp(-(1.0 - u ** alpha) / (2.0 * alpha)) - mu) / u
     val, _, info = quad_vec(
         integrand, 0.0, 1.0, epsabs=1e-10, epsrel=0.0, norm="max", limit=200, full_output=True
     )
     if info.status != 0:
-        raise RuntimeError(f"Poisson integral did not converge (is mu_h = mu_alpha?): {info.message}")
-    return -val
+        raise RuntimeError(f"Poisson integral did not converge: {info.message}")
+    return GridFunction(grid=xs, values=-val)
 
 
-def poisson_solution(
-    prob: PoissonProblem,
-    x: float,
-    t_max: float | None = None,
-    quad_steps: int = 200,
-    engine: str = "closed-form-ou",
-    n_paths: int = 100_000,
-    rng: RngStream | None = None,
-    dt: float | None = None,
-):
-    """f(x) = int_0^inf [mu(h) - P_t h(x)] dt.
+def poisson_solution_mc(h, mu_h, drift, alpha, x, *, t_max, quad_steps, n_paths, rng, dt) -> float:
+    """f(x) = int_0^t_max [mu_h - P_t h(x)] dt by Monte Carlo, for any h and drift.
 
-    Since int_0^inf (A P_t h) dt = mu(h) - h, this f solves the Poisson
-    equation A f = h - mu(h); the residual tests pin the sign.
-
-    closed-form-ou: requires the OU drift and h = cos; P_t h is the exact
-    cosine semigroup (works for alpha = 2 as the Brownian case), integrated
-    over u = e^{-t} by the same code as poisson_solution_grid.
-    mc: composite quadrature on quad_steps time nodes up to t_max, each
-    node reusing one common ensemble of driver paths from x (common random
-    numbers keep the integrand smooth in t).  t_max, quad_steps, n_paths,
-    rng and dt are its knobs alone.
+    Composite Simpson quadrature on quad_steps + 1 time nodes, each node
+    reusing one common ensemble of n_paths paths from x, advanced node to
+    node with Euler step dt (common random numbers keep the integrand
+    smooth in t).  alpha = 2 is the Brownian driver.
     """
-    if engine == "closed-form-ou":
-        return float(_closed_form_ou(prob, np.array([float(x)]))[0])
-    if engine != "mc":
-        raise ValueError(f"unknown engine {engine!r}")
-    if prob.mu_h is None:
-        raise ValueError("mc engine needs mu_h (supply it, e.g. from mc_semigroup at a long horizon)")
-    rng = rng or RngStream(0, 0)
-    T = t_max if t_max is not None else 10.0
-    nodes = np.linspace(0.0, T, quad_steps + 1)
-    driver = "brownian" if prob.alpha == 2.0 else ("stable", prob.alpha)
+    nodes = np.linspace(0.0, t_max, quad_steps + 1)
+    driver = "brownian" if alpha == 2.0 else ("stable", alpha)
     cfg = EulerConfig(dt=dt)
-    # one shared path ensemble, advanced node to node
-    state = np.full((n_paths, prob.drift.d), float(x))
-    means = [float(np.mean(prob.h(state[:, 0]))) - prob.mu_h]
+    state = np.full((n_paths, drift.d), float(x))
+    means = [float(np.mean(h(state[:, 0]))) - mu_h]
     sub = rng.substream(0)
     for k in range(quad_steps):
-        advance(state, nodes[k + 1] - nodes[k], prob.drift, driver, cfg, sub)
-        means.append(float(np.mean(prob.h(state[:, 0]))) - prob.mu_h)
+        advance(state, nodes[k + 1] - nodes[k], drift, driver, cfg, sub)
+        means.append(float(np.mean(h(state[:, 0]))) - mu_h)
     return float(-simpson(np.array(means), x=nodes))
-
-
-def poisson_solution_grid(prob: PoissonProblem, grid, extension: tuple = ("linear",)) -> GridFunction:
-    """Tabulate the closed-form OU Poisson solution on a grid as a GridFunction."""
-    grid = np.asarray(grid, dtype=float)
-    return GridFunction(grid=grid, values=_closed_form_ou(prob, grid), extension=extension)
 
 
 def lin_norm_diff(f_a: GridFunction, f_b: GridFunction) -> float:

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from stable_tv_lab.rng import RngStream
-from stable_tv_lab.stable_sampling import SubordinatorSpec, sample_stable_vector, sample_subordinator
+from stable_tv_lab.stable_sampling import sample_stable_vector, sample_subordinator
 
 BLOCK_SIZE = 4096  # paths per substream block; fixed so workers never matter
 
@@ -162,7 +162,7 @@ def _increments(kind: str, alpha: float, h: float, n: int, d: int, rng: RngStrea
         return [sample_stable_vector(alpha, h, d, rng, n)]
     # coupled: the Gaussians first, then the subordinator; z also drives the Brownian path
     z = rng.normal((n, d))
-    s = sample_subordinator(SubordinatorSpec(alpha, h), rng, size=n)
+    s = sample_subordinator(alpha, h, rng, n)
     return [np.sqrt(s)[:, None] * z, np.sqrt(h) * z]
 
 

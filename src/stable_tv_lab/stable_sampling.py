@@ -18,25 +18,10 @@ acceptance tests, never trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from stable_tv_lab.rng import RngStream
-
-
-@dataclass(frozen=True)
-class SubordinatorSpec:
-    """alpha/2-stable subordinator with Laplace transform exp(-t (2r)^{alpha/2} / 2)."""
-
-    alpha: float
-    time: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must be in (0, 2), got {self.alpha}")
-        if self.time <= 0.0:
-            raise ValueError(f"time must be positive, got {self.time}")
 
 
 def _nonzero(draw, x):
@@ -82,17 +67,17 @@ def _log_kanter(rho: float, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
     return log_s
 
 
-def _log_unit_pos_stable(rho: float, rng: RngStream, size) -> np.ndarray:
-    """log of a Kanter/Zolotarev draw with Laplace transform exp(-r^rho), rho in (0,1).
+def _log_unit_pos_stable(rho: float, rng: RngStream, size: int) -> np.ndarray:
+    """log of size Kanter/Zolotarev draws with Laplace transform exp(-r^rho), rho in (0,1).
 
-    Always an array, shape (1,) for size=None.  theta = 0 gives a NaN and
-    w = 0 an infinite log.  Both are null events (probability ~2^-53 each),
-    so when a log is not finite the exact zeros of theta and w are redrawn
-    from the same stream and the kernel applied again: rejection, which
-    leaves the law unchanged.  The check is one max per array.
+    theta = 0 gives a NaN and w = 0 an infinite log.  Both are null events
+    (probability ~2^-53 each), so when a log is not finite the exact zeros
+    of theta and w are redrawn from the same stream and the kernel applied
+    again: rejection, which leaves the law unchanged.  The check is one max
+    per array.
     """
-    theta = np.atleast_1d(rng.uniform(0.0, np.pi, size))
-    w = np.atleast_1d(rng.exponential(size))
+    theta = rng.uniform(0.0, np.pi, size)
+    w = rng.exponential(size)
     log_s = _log_kanter(rho, theta, w)
     if log_s.size and not math.isfinite(log_s.max()):
         theta = _nonzero(lambda k: rng.uniform(0.0, np.pi, k), theta)
@@ -101,19 +86,21 @@ def _log_unit_pos_stable(rho: float, rng: RngStream, size) -> np.ndarray:
     return log_s
 
 
-def sample_subordinator(spec: SubordinatorSpec, rng: RngStream, size=None):
-    """Draw S_t with Laplace transform exp(-t (2r)^{alpha/2} / 2).
+def sample_subordinator(alpha: float, t: float, rng: RngStream, size: int) -> np.ndarray:
+    """size draws of S_t, alpha in (0, 2), with Laplace transform exp(-t (2r)^{alpha/2} / 2).
 
     E exp(-r c S) = exp(-(cr)^rho) for a unit Kanter draw S, so the scale
     c must satisfy c^rho = t 2^{rho - 1} with rho = alpha/2, i.e.
     c = t^{2/alpha} 2^{1 - 2/alpha}.  The draw is exp(log c + log S).
     """
-    alpha, t = spec.alpha, spec.time
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
+    if t <= 0.0:
+        raise ValueError(f"t must be positive, got {t}")
     log_scale = (2.0 / alpha) * math.log(t) + (1.0 - 2.0 / alpha) * math.log(2.0)
     log_s = _log_unit_pos_stable(alpha / 2.0, rng, size)
     log_s += log_scale
-    s = np.exp(log_s, out=log_s)
-    return s[0] if size is None else s
+    return np.exp(log_s, out=log_s)
 
 
 def sample_stable_vector(alpha: float, t: float, d: int, rng: RngStream, n: int) -> np.ndarray:
@@ -130,7 +117,7 @@ def sample_stable_vector(alpha: float, t: float, d: int, rng: RngStream, n: int)
         raise ValueError(f"t must be positive, got {t}")
     if alpha == 2.0:
         return np.sqrt(t) * rng.normal((n, d))
-    s = sample_subordinator(SubordinatorSpec(alpha, t), rng, size=n)
+    s = sample_subordinator(alpha, t, rng, n)
     return np.sqrt(s)[:, None] * rng.normal((n, d))
 
 
@@ -139,6 +126,8 @@ def empirical_char_fn(samples: np.ndarray, xi) -> complex:
     values = np.asarray(samples, dtype=float)
     if values.size == 0:
         raise ValueError("need at least one sample")
+    if not np.isfinite(values).all():
+        raise ValueError("samples must be finite")
     xi = np.asarray(xi, dtype=float)
     if values.ndim == 1:
         if xi.ndim != 0:
@@ -158,6 +147,8 @@ def robust_mean(samples: np.ndarray, blocks: int = 32) -> float:
     values = np.asarray(samples, dtype=float)
     if values.ndim != 1:
         raise ValueError("robust_mean expects scalar samples")
+    if not np.isfinite(values).all():
+        raise ValueError("samples must be finite")
     if not 1 <= blocks <= values.size:
         raise ValueError(f"blocks must be in [1, {values.size}] (the sample count), got {blocks}")
     if blocks == 1:

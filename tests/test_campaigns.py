@@ -135,6 +135,21 @@ def test_cli_env_seed_override(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["config"]["seed"] == 17
 
 
+@pytest.mark.parametrize("bad", ["workers", "params-key"])
+def test_cli_config_errors_exit_with_usage_status(bad, tmp_path, capsys):
+    # status 1 means a failed check; a bad config is a usage error, status 2
+    if bad == "workers":
+        argv = ["constants", "--workers", "0"]
+    else:
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"params": {"alphas": [1.5]}}))
+        argv = ["constants", "--config", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_campaign():
     with pytest.raises(SystemExit):
         main(["definitely-not-a-campaign"])

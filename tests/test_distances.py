@@ -104,7 +104,7 @@ def test_cf_lower_bound_is_a_lower_bound():
         tv_cf_lower_bound(a, b, [])
 
 
-@pytest.mark.parametrize(
+EVERY_ESTIMATOR = pytest.mark.parametrize(
     "estimator",
     [
         lambda x: empirical_char_fn(x, 1.0),
@@ -115,9 +115,21 @@ def test_cf_lower_bound_is_a_lower_bound():
     ],
     ids=["empirical_char_fn", "robust_mean", "tv_from_samples_1d", "tv_noise_floor", "tv_cf_lower_bound"],
 )
+
+
+@EVERY_ESTIMATOR
 def test_estimators_reject_empty_samples(estimator):
     with pytest.raises(ValueError):
         estimator(np.empty(0))
+
+
+@EVERY_ESTIMATOR
+def test_estimators_reject_non_finite_samples(estimator):
+    # one NaN in 1000 must not vanish into a max (0.0), a histogram (2.0) or a mean
+    x = np.linspace(-1.0, 1.0, 1000)
+    x[500] = np.nan
+    with pytest.raises(ValueError):
+        estimator(x)
 
 
 @pytest.mark.parametrize("exponent", [0.5, 1.0, 1.5])
@@ -144,3 +156,5 @@ def test_rate_fit_input_validation():
         rate_fit([(2.0, 1.0), (1.9, 1.0), (1.8, 1.0)])  # alpha = 2
     with pytest.raises(ValueError):
         rate_fit([(1.9, 0.0), (1.8, 1.0), (1.7, 1.0)])  # nonpositive value
+    with pytest.raises(ValueError):
+        rate_fit([(1.9, math.nan), (1.8, 1.0), (1.7, 1.0)])  # non-finite value

@@ -13,11 +13,9 @@ import numpy as np
 import pytest
 
 from stable_tv_lab import (
-    OuLawSpec,
     ergodic_density,
     exact_tv_mu,
     lb_curve,
-    semigroup_cos,
     transition_cf,
     tv_from_densities,
 )
@@ -31,28 +29,27 @@ EXACT_TV = {
 }
 
 
-def test_spec_validation():
+def test_transition_cf_validation():
     with pytest.raises(ValueError):
-        OuLawSpec(1.0)
+        transition_cf(1.0, 1.0)
     with pytest.raises(ValueError):
-        OuLawSpec(1.5, kind="bridge")
+        transition_cf(1.5, 1.0, x=2.0, t=-1.0)
     with pytest.raises(ValueError):
-        OuLawSpec(1.5, kind="transition", t=-1.0)
+        transition_cf(1.5, 1.0, x=2.0, t=math.nan)
 
 
 def test_transition_cf_limits():
-    spec0 = OuLawSpec(1.5, kind="transition", x=2.0, t=0.0)
     # t = 0: the law is the point mass at x
-    assert transition_cf(spec0, 1.3) == pytest.approx(np.exp(1.3j * 2.0))
+    assert transition_cf(1.5, 1.3, x=2.0, t=0.0) == pytest.approx(np.exp(1.3j * 2.0))
     # t -> infinity: the transition law forgets x and becomes ergodic
-    spec_inf = OuLawSpec(1.5, kind="transition", x=2.0, t=60.0)
-    assert transition_cf(spec_inf, 1.3) == pytest.approx(transition_cf(OuLawSpec(1.5), 1.3), abs=1e-12)
+    assert transition_cf(1.5, 1.3, x=2.0, t=60.0) == pytest.approx(transition_cf(1.5, 1.3), abs=1e-12)
+    assert transition_cf(1.5, 1.3, x=2.0, t=math.inf) == transition_cf(1.5, 1.3)
 
 
 def test_ergodic_cf_closed_form():
     for alpha in (1.2, 1.7, 2.0):
         for xi in (0.5, 1.0, 3.0):
-            assert transition_cf(OuLawSpec(alpha), xi) == pytest.approx(
+            assert transition_cf(alpha, xi) == pytest.approx(
                 math.exp(-abs(xi) ** alpha / (2.0 * alpha))
             )
 
@@ -72,11 +69,12 @@ def test_lb_curve_asymptotic_slope():
     assert lb_curve(1.9999) / 0.0001 == pytest.approx(limit, rel=0.0002)
 
 
-def test_semigroup_cos_boundary_behaviour():
+def test_cos_semigroup_boundary_behaviour():
+    # P_t cos(x) is the real part of the CF at xi = 1
     alpha, x = 1.6, 0.7
-    assert semigroup_cos(alpha, x, 0.0) == pytest.approx(math.cos(x))
+    assert transition_cf(alpha, 1.0, x, 0.0).real == pytest.approx(math.cos(x))
     mu = math.exp(-1.0 / (2.0 * alpha))
-    assert semigroup_cos(alpha, x, 50.0) == pytest.approx(mu, abs=1e-12)
+    assert transition_cf(alpha, 1.0, x, 50.0).real == pytest.approx(mu, abs=1e-12)
 
 
 def test_brownian_ergodic_density_is_gaussian():

@@ -12,7 +12,6 @@ import pytest
 
 from stable_tv_lab import (
     GridFunction,
-    PoissonProblem,
     RngStream,
     a_const,
     drift_registry,
@@ -20,9 +19,9 @@ from stable_tv_lab import (
     generator_p,
     generator_q,
     lin_norm_diff,
-    poisson_solution,
+    poisson_solution_grid,
+    poisson_solution_mc,
 )
-from stable_tv_lab.pde import poisson_solution_grid
 
 POISSON_F0 = {
     2.0: -0.103789001406,
@@ -33,6 +32,7 @@ POISSON_F0 = {
 }
 
 OU = drift_registry("ou")
+SMALL_GRID = np.linspace(-1.0, 1.0, 9)  # holds 0 and 0.5 as knots
 
 
 def _cos_grid(half=4.0, step=0.005):
@@ -124,8 +124,17 @@ def test_callable_far_field_raises_on_quad_error():
     # cos(50 .) oscillates too fast for the far-field panels: their summed
     # quad error estimate is ~1e-4 and the sum is off by ~3e-3 relative
     f = GridFunction.from_callable(lambda y: np.cos(50.0 * y), np.arange(-4.0, 4.0 + 0.0025, 0.005))
-    with pytest.raises(RuntimeError, match="far-field"):
+    with pytest.raises(RuntimeError, match="error estimate"):
         frac_laplacian_1d(f, 1.2, 0.3)
+
+
+def test_linear_extension_raises_on_quad_error():
+    # a square wave of period ~0.16: the [delta, 1] and [1, z0] integrals
+    # both hit their subdivision limits, and the sum is off
+    grid = np.arange(-4.0, 4.0 + 0.0025, 0.005)
+    f = GridFunction(grid, np.sign(np.sin(40.0 * grid)))
+    with pytest.raises(RuntimeError, match="error estimate"):
+        frac_laplacian_1d(f, 1.5, 0.3)
 
 
 def test_frac_laplacian_input_validation():
@@ -145,20 +154,19 @@ def test_generator_q_on_cos():
 
 @pytest.mark.parametrize("alpha,expected", sorted(POISSON_F0.items()))
 def test_poisson_solution_at_origin(alpha, expected):
-    prob = PoissonProblem(h=np.cos, alpha=alpha, drift=OU)
-    assert poisson_solution(prob, 0.0) == pytest.approx(expected, abs=1e-7)
+    assert poisson_solution_grid(alpha, SMALL_GRID)(0.0) == pytest.approx(expected, abs=1e-7)
 
 
 def test_poisson_solution_solves_the_equation():
     # residual of A f - (h - mu(h)) at interior points, Brownian case
     grid = np.arange(-10.0, 10.0 + 0.005, 0.01)
-    f2 = poisson_solution_grid(PoissonProblem(h=np.cos, alpha=2.0, drift=OU), grid)
+    f2 = poisson_solution_grid(2.0, grid)
     mu = math.exp(-0.25)
     for x in (-1.0, 0.0, 0.7, 2.0):
         resid = generator_q(f2, OU, x) - (math.cos(x) - mu)
         assert abs(resid) < 1e-3
     # and the stable case via the nonlocal generator
-    fa = poisson_solution_grid(PoissonProblem(h=np.cos, alpha=1.9, drift=OU), grid)
+    fa = poisson_solution_grid(1.9, grid)
     mua = math.exp(-1.0 / 3.8)
     for x in (0.0, 0.7):
         resid = generator_p(fa, OU, 1.9, x) - (math.cos(x) - mua)
@@ -170,10 +178,10 @@ def test_generator_residual_at_every_grid_point():
     grid = np.arange(-15.0, 15.0 + 1e-9, 0.01)
     xs = grid[np.abs(grid) <= 3.0 + 1e-9]
     assert xs.size == 601
-    f2 = poisson_solution_grid(PoissonProblem(h=np.cos, alpha=2.0, drift=OU), grid)
+    f2 = poisson_solution_grid(2.0, grid)
     mu = math.exp(-0.25)
     assert max(abs(generator_q(f2, OU, x) - (math.cos(x) - mu)) for x in xs) < 1e-3
-    fa = poisson_solution_grid(PoissonProblem(h=np.cos, alpha=1.9, drift=OU), grid)
+    fa = poisson_solution_grid(1.9, grid)
     mua = math.exp(-1.0 / 3.8)
     assert max(abs(generator_p(fa, OU, 1.9, x) - (math.cos(x) - mua)) for x in xs) < 1e-2
 
@@ -181,26 +189,20 @@ def test_generator_residual_at_every_grid_point():
 def test_poisson_mc_engine_agrees_with_closed_form():
     alpha, x = 1.8, 0.5
     mu = math.exp(-1.0 / (2.0 * alpha))
-    prob = PoissonProblem(h=np.cos, alpha=alpha, drift=OU, mu_h=mu)
-    mc = poisson_solution(
-        prob, x, engine="mc", t_max=12.0, quad_steps=60, n_paths=60_000, rng=RngStream(5, 0), dt=0.01
+    mc = poisson_solution_mc(
+        np.cos, mu, OU, alpha, x, t_max=12.0, quad_steps=60, n_paths=60_000, rng=RngStream(5, 0), dt=0.01
     )
-    exact = poisson_solution(prob, x)
+    exact = poisson_solution_grid(alpha, SMALL_GRID)(x)
     assert mc == pytest.approx(exact, abs=0.02)
 
 
 def test_poisson_engine_validation():
-    prob = PoissonProblem(h=np.cos, alpha=1.5, drift=OU)
     with pytest.raises(ValueError):
-        poisson_solution(prob, 0.0, engine="spectral")
+        poisson_solution_grid(1.0, SMALL_GRID)
     with pytest.raises(ValueError):
-        poisson_solution(prob, 0.0, engine="mc")  # mc needs mu_h
-    with pytest.raises(ValueError):
-        poisson_solution(PoissonProblem(h=np.cos, alpha=1.5, drift=drift_registry("zero")), 0.0)
-    with pytest.raises(ValueError):
-        PoissonProblem(h=np.cos, alpha=1.0, drift=OU)
-    with pytest.raises(RuntimeError):  # the integral diverges unless mu_h = mu_alpha(cos)
-        poisson_solution(PoissonProblem(h=np.cos, alpha=1.5, drift=OU, mu_h=0.5), 0.0)
+        poisson_solution_mc(
+            np.cos, 0.5, OU, 1.0, 0.0, t_max=1.0, quad_steps=2, n_paths=10, rng=RngStream(0, 0), dt=0.1
+        )
 
 
 def test_lin_norm_diff_requires_matching_grids():

@@ -16,7 +16,7 @@ from stable_tv_lab import (
     probe_h2,
     run_ensemble,
     sample_stable_vector,
-    semigroup_cos,
+    transition_cf,
 )
 from stable_tv_lab.sde import BLOCK_SIZE, IntegrationError
 
@@ -237,5 +237,5 @@ def test_mc_semigroup_matches_cosine_closed_form():
         RngStream(12, 0),
         cfg=EulerConfig(dt=0.01),
     )
-    exact = semigroup_cos(alpha, x, t)
+    exact = transition_cf(alpha, 1.0, x, t).real  # P_t cos(x)
     assert abs(est - exact) < 4.0 * se + 0.01  # MC band + O(dt) drift bias

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from stable_tv_lab import (
     RngStream,
-    SubordinatorSpec,
     empirical_char_fn,
     robust_mean,
     sample_stable_vector,
@@ -31,7 +30,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         sample_stable_vector(1.5, 1.0, 0, rng, 10)
     with pytest.raises(ValueError):
-        SubordinatorSpec(2.0, 1.0)  # subordinator needs alpha < 2
+        sample_subordinator(2.0, 1.0, rng, 10)  # subordinator needs alpha < 2
+    with pytest.raises(ValueError):
+        sample_subordinator(1.5, 0.0, rng, 10)
 
 
 def test_alpha_two_is_gaussian_with_variance_t():
@@ -56,7 +57,7 @@ def test_sym_stable_char_fn(alpha, t):
 @pytest.mark.parametrize("alpha", [1.2, 1.7])
 def test_subordinator_positivity_and_laplace(alpha):
     t = 1.5
-    s = sample_subordinator(SubordinatorSpec(alpha, t), RngStream(7, 2), size=N)
+    s = sample_subordinator(alpha, t, RngStream(7, 2), N)
     assert np.all(s > 0.0)
     # E exp(-r S_t) = exp(-t (2 r)^{alpha/2} / 2)
     for r in (0.5, 1.0, 2.0):
@@ -70,7 +71,7 @@ def test_subordinator_stays_finite_near_alpha_two(alpha):
     # the Kanter powers have order 1/(1 - alpha/2), 200 at alpha = 1.99, and
     # under- or overflow to NaN, inf or 0 unless the kernel works in logs
     n = 1_000_000
-    s = sample_subordinator(SubordinatorSpec(alpha, 1.0), RngStream(0, 0), size=n)
+    s = sample_subordinator(alpha, 1.0, RngStream(0, 0), n)
     assert np.all(np.isfinite(s)) and np.all(s > 0.0)
     # E exp(-S_1) = exp(-2^{alpha/2} / 2)
     emp = float(np.mean(np.exp(-s)))
@@ -129,20 +130,18 @@ def test_kanter_redraws_exact_zeros():
         def _edge(self, name, x):
             if self.first[name]:
                 self.first[name] = False
-                if np.ndim(x) == 0:
-                    return 0.0
                 x[0] = 0.0
             return x
 
-        def uniform(self, low, high, size=None):
+        def uniform(self, low, high, size):
             assert low == 0.0
             return self._edge("uniform", self.rng.uniform(low, high, size))
 
-        def exponential(self, size=None):
+        def exponential(self, size):
             return self._edge("exponential", self.rng.exponential(size))
 
-    for size in (None, 1, 64):
-        s = sample_subordinator(SubordinatorSpec(1.5, 1.0), ZerosFirst(), size=size)
+    for size in (1, 64):
+        s = sample_subordinator(1.5, 1.0, ZerosFirst(), size)
         assert np.all(np.isfinite(s)) and np.all(s > 0.0)
 
 
@@ -155,7 +154,7 @@ def test_sampler_replays_with_same_stream():
 def test_robust_mean_resists_heavy_tails():
     # 1/S has mean 4 for alpha = 1, t = 1 but infinite variance would break
     # a plain average's error bars; the median-of-means stays near 4
-    s = sample_subordinator(SubordinatorSpec(1.0, 1.0), RngStream(3, 0), size=500_000)
+    s = sample_subordinator(1.0, 1.0, RngStream(3, 0), 500_000)
     est = robust_mean(1.0 / s)
     assert est == pytest.approx(4.0, rel=0.02)
 
