@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +77,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown campaign {self.campaign!r}; choose from {sorted(CAMPAIGNS)}"
             )
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be a JSON object, got {type(self.params).__name__}")
         merged = dict(DEFAULT_PARAMS[self.campaign])
         merged.update(self.params)
         unknown = set(self.params) - set(DEFAULT_PARAMS[self.campaign])
@@ -89,6 +93,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, **overrides) -> "ExperimentConfig":
         raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: config must be a JSON object, got {type(raw).__name__}")
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"{path}: unknown config key {sorted(unknown)[0]!r}")
         raw.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**raw)
 

@@ -1,8 +1,9 @@
 """Command-line entry point: stable-tv-lab <campaign> [--config FILE] ...
 
 Exit status is 1 when at least one check fails, and 2, with argparse's
-usage message, for a bad command line or config (an unknown campaign or
-params key, workers < 1).  STABLE_TV_LAB_SEED and STABLE_TV_LAB_WORKERS
+usage message, for a bad command line or config (an unknown campaign,
+config or params key, a config file that is missing or not a JSON object,
+params that are not an object, a seed that is not an integer, workers < 1).  STABLE_TV_LAB_SEED and STABLE_TV_LAB_WORKERS
 override seed and worker count.
 """
 
@@ -50,7 +51,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
     report = run_campaign(cfg)
     json.dump(report.as_dict(), sys.stdout, indent=2)

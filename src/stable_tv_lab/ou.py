@@ -11,7 +11,8 @@ transition_cf(alpha, xi, x, t) evaluates this CF, with t = inf by default,
 and mu_alpha(cos) is transition_cf(alpha, 1.0).real.  Densities live on one
 fixed grid, GRID_CELLS cells on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH], and
 are recovered by cosine inversion, one vector-valued quadrature for all
-knots; the exact TV between mu_alpha and mu_2 comes from the grid
+knots, whose cosines _half_angle_cos takes from tan (pde's Poisson grid
+uses it too); the exact TV between mu_alpha and mu_2 comes from the grid
 densities.
 """
 
@@ -51,6 +52,21 @@ def lb_curve(alpha: float) -> float:
     return transition_cf(2.0, 1.0).real - transition_cf(alpha, 1.0).real
 
 
+def _half_angle_cos(theta: np.ndarray) -> np.ndarray:
+    """cos(theta) as (1 - t^2) / (1 + t^2) with t = tan(theta / 2).
+
+    numpy's AVX-512 builds vectorize float64 tan, not cos, so this is the
+    cheaper cosine for the transforms here; it is within ~2e-16 of np.cos
+    and exactly -1 at odd multiples of pi, where t is huge but finite.
+    """
+    t = np.tan(0.5 * theta)
+    t *= t
+    num = 1.0 - t
+    t += 1.0
+    num /= t
+    return num
+
+
 def _cos_transform(alpha: float, xs: np.ndarray) -> np.ndarray:
     """(1/pi) int_0^inf cos(xi x) exp(-xi^alpha / (2 alpha)) dxi at every x.
 
@@ -59,7 +75,7 @@ def _cos_transform(alpha: float, xs: np.ndarray) -> np.ndarray:
     vector-valued quadrature over all xs.
     """
     xi_max = (92.0 * alpha) ** (1.0 / alpha)
-    integrand = lambda xi: np.cos(xi * xs) * math.exp(-xi ** alpha / (2.0 * alpha))
+    integrand = lambda xi: _half_angle_cos(xi * xs) * math.exp(-xi ** alpha / (2.0 * alpha))
     val, _, info = quad_vec(
         integrand, 0.0, xi_max, epsabs=1e-11, epsrel=0.0, norm="max", limit=2000, full_output=True
     )

@@ -8,8 +8,9 @@ symbol check pins the normalization of the whole module.
 Poisson solutions follow the probabilistic representation
 f(x) = int_0^inf [mu(h) - P_t h(x)] dt.  poisson_solution_grid solves the
 one problem with a closed form, the OU drift with h = cos, on a whole grid
-in one vectorized integral; poisson_solution_mc estimates f(x) for any h
-and drift from a Monte Carlo ensemble shared across time nodes.
+in one vectorized integral (cosines from ou._half_angle_cos);
+poisson_solution_mc estimates f(x) for any h and drift from a Monte Carlo
+ensemble shared across time nodes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from scipy.integrate import quad, quad_vec, simpson
 from scipy.interpolate import CubicSpline
 
 from stable_tv_lab.constants import a_const
-from stable_tv_lab.ou import transition_cf
+from stable_tv_lab.ou import _half_angle_cos, transition_cf
 from stable_tv_lab.sde import DriftField, EulerConfig, advance
 
 
@@ -256,7 +257,7 @@ def poisson_solution_grid(alpha: float, grid) -> GridFunction:
     """
     xs = np.asarray(grid, dtype=float)
     mu = transition_cf(alpha, 1.0).real
-    integrand = lambda u: (np.cos(u * xs) * math.exp(-(1.0 - u ** alpha) / (2.0 * alpha)) - mu) / u
+    integrand = lambda u: (_half_angle_cos(u * xs) * math.exp(-(1.0 - u ** alpha) / (2.0 * alpha)) - mu) / u
     val, _, info = quad_vec(
         integrand, 0.0, 1.0, epsabs=1e-10, epsrel=0.0, norm="max", limit=200, full_output=True
     )

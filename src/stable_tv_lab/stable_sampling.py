@@ -10,9 +10,10 @@ every d: sample_stable_vector feeds both the Euler stepper and the
 sampler checks.  The subordinator uses the Kanter/Zolotarev transform for
 a *unit-scale* draw, then applies a scale factor derived from the target
 exponent.  The one-sided draw is computed in log space, scale included,
-so it stays finite and positive up to alpha -> 2.  The scale algebra is
-the dominant failure mode, so it is pinned by CF and Laplace-transform
-acceptance tests, never trusted.
+from the half-angle tangents of its uniform angle, so it stays finite and
+positive up to alpha -> 2.  The scale algebra is the dominant failure
+mode, so it is pinned by CF and Laplace-transform acceptance tests, never
+trusted.
 """
 
 from __future__ import annotations
@@ -33,37 +34,42 @@ def _nonzero(draw, x):
     return x
 
 
-def _log_half_sin(half, scale=None):
-    """log(sin(x) / (2 scale)) for x = 2 half in (0, pi), overwriting half.
-
-    sin x = 2t / (1 + t^2) with t = tan(x / 2), which is finite and positive
-    on (0, pi).  numpy's AVX-512 builds vectorize float64 tan and log, not sin.
-    """
-    t = np.tan(half, out=half)
-    u = t * t
-    u += 1.0
-    if scale is not None:
-        u *= scale
-    np.divide(t, u, out=u)
-    return np.log(u, out=u)
-
-
 def _log_kanter(rho: float, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """log S for the Kanter draw S = (A(theta) / w)^((1 - rho) / rho), with
-    A = sin((1 - rho) theta) sin(rho theta)^(rho / (1 - rho)) / sin(theta)^(1 / (1 - rho)):
+    """log S for the Kanter draw S = (A(theta) / w)^a, a = (1 - rho) / rho, with
+    A = sin((1 - rho) theta) sin(rho theta)^(rho / (1 - rho)) / sin(theta)^(1 / (1 - rho)).
 
-        log S = ((1 - rho) / rho) (log sin((1 - rho) theta) - log w)
-                + log sin(rho theta) - (1 / rho) log sin(theta).
+    Since a + 1 = 1 / rho, log S = a log[sin((1 - rho) theta) / (sin(theta) w)]
+    + log[sin(rho theta) / sin(theta)], and in the half-angle tangents
+    t1 = tan(theta / 2), t2 = tan(rho theta / 2) both ratios are rational:
 
-    Every coefficient stays bounded as rho -> 1, so nothing under- or
-    overflows where the powers of A would.  The log 2 that _log_half_sin
-    leaves out of each sine cancels: (1 - rho) / rho + 1 - 1 / rho = 0.
+        log S = a log[(t1 - t2)(1 + t1 t2) / (t1 (1 + t2^2) w)]
+                + log[t2 (1 + t1^2) / (t1 (1 + t2^2))].
+
+    numpy's AVX-512 builds vectorize float64 tan and log, not sin, so this
+    costs two of each.  t1 and t2 are finite and positive on (0, pi), and
+    every coefficient stays bounded as rho -> 1, so nothing under- or
+    overflows where the powers of A would; there t1 - t2 loses about
+    eps / (1 - rho) relative, which the factor a ~ 1 - rho takes back.
+    theta and w are left as they are.
     """
-    half = 0.5 * theta
-    log_s = _log_half_sin((1.0 - rho) * half, w)
+    t1 = np.tan(0.5 * theta)
+    t2 = np.tan((0.5 * rho) * theta)
+    den = t2 * t2
+    den += 1.0
+    den *= t1
+    num = t1 - t2
+    cross = t1 * t2
+    cross += 1.0
+    num *= cross
+    num /= den
+    num /= w
+    log_s = np.log(num, out=num)
     log_s *= (1.0 - rho) / rho
-    log_s += _log_half_sin(rho * half)
-    log_s -= _log_half_sin(half) / rho
+    ratio = np.multiply(t1, t1, out=cross)
+    ratio += 1.0
+    ratio *= t2
+    ratio /= den
+    log_s += np.log(ratio, out=ratio)
     return log_s
 
 

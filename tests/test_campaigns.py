@@ -135,15 +135,27 @@ def test_cli_env_seed_override(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["config"]["seed"] == 17
 
 
-@pytest.mark.parametrize("bad", ["workers", "params-key"])
-def test_cli_config_errors_exit_with_usage_status(bad, tmp_path, capsys):
+# bad command lines: extra argv, and the JSON of a --config file (None: no file)
+BAD_CONFIGS = {
+    "workers": (["--workers", "0"], None),
+    "params-key": ([], {"params": {"alphas": [1.5]}}),
+    "top-level-key": ([], {"campaign": "constants", "parms": {}}),
+    "json-array": ([], [1, 2]),
+    "params-array": ([], {"params": [1]}),
+    "seed-string": ([], {"seed": "x"}),
+    "missing-file": (["--config", "absent.json"], None),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_CONFIGS))
+def test_cli_config_errors_exit_with_usage_status(bad, tmp_path, capsys, monkeypatch):
     # status 1 means a failed check; a bad config is a usage error, status 2
-    if bad == "workers":
-        argv = ["constants", "--workers", "0"]
-    else:
-        path = tmp_path / "typo.json"
-        path.write_text(json.dumps({"params": {"alphas": [1.5]}}))
-        argv = ["constants", "--config", str(path)]
+    monkeypatch.chdir(tmp_path)
+    extra, text = BAD_CONFIGS[bad]
+    argv = ["constants", *extra]
+    if text is not None:
+        (tmp_path / "bad.json").write_text(json.dumps(text))
+        argv += ["--config", "bad.json"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -19,6 +19,7 @@ from stable_tv_lab import (
     transition_cf,
     tv_from_densities,
 )
+from stable_tv_lab.ou import _half_angle_cos
 
 EXACT_TV = {
     1.7: 0.0852263394,
@@ -75,6 +76,15 @@ def test_cos_semigroup_boundary_behaviour():
     assert transition_cf(alpha, 1.0, x, 0.0).real == pytest.approx(math.cos(x))
     mu = math.exp(-1.0 / (2.0 * alpha))
     assert transition_cf(alpha, 1.0, x, 50.0).real == pytest.approx(mu, abs=1e-12)
+
+
+def test_half_angle_cos_matches_np_cos():
+    theta = np.random.default_rng(8).uniform(-1e5, 1e5, 1_000_000)
+    assert np.max(np.abs(_half_angle_cos(theta) - np.cos(theta))) <= 4.5e-16
+    # tan(theta / 2) is huge but finite at odd multiples of pi, so t^2 swamps the 1s
+    odd = np.arange(-2001, 2002, 2) * np.pi
+    assert np.all(_half_angle_cos(odd) == -1.0)
+    assert np.all(_half_angle_cos(np.array([0.0, -0.0])) == 1.0)
 
 
 def test_brownian_ergodic_density_is_gaussian():

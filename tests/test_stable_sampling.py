@@ -1,6 +1,7 @@
 """Sampler distribution tests: characteristic functions, Laplace transforms,
 and robust estimation."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -102,6 +103,36 @@ def test_log_kanter_matches_the_power_form(alpha):
     want = _textbook_kanter(alpha / 2.0, theta, w)
     got = np.exp(_log_kanter(alpha / 2.0, theta, w))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def _mp_log_kanter(rho, theta, w):
+    """50-digit log S at the exact float inputs, from the sines."""
+    with mpmath.workdps(50):
+        rho, theta, w = mpmath.mpf(rho), mpmath.mpf(theta), mpmath.mpf(w)
+        return (
+            (1 - rho) / rho * (mpmath.log(mpmath.sin((1 - rho) * theta)) - mpmath.log(w))
+            + mpmath.log(mpmath.sin(rho * theta))
+            - mpmath.log(mpmath.sin(theta)) / rho
+        )
+
+
+@pytest.mark.parametrize("rho", [0.55, 0.75, 0.95, 0.995, 0.9995])
+def test_log_kanter_matches_a_50_digit_oracle(rho):
+    # reaches alpha = 1.999, where the power form underflows; the corners
+    # put theta next to 0 and pi and w far into both tails
+    gen = np.random.default_rng(11)
+    theta_corners = np.repeat([np.pi * 2.0**-53, np.pi * (1.0 - 2.0**-53)], 2)
+    theta = np.concatenate([gen.uniform(0.0, np.pi, 200), theta_corners])
+    w = np.concatenate([gen.standard_exponential(200), np.tile([2.0**-64, 40.0], 2)])
+    got = _log_kanter(rho, theta, w)
+    # rounding rho theta to a float64 moves log S by up to 2^-53 kappa, with
+    # kappa the condition number of log S in rho theta: ~2000 at theta -> pi,
+    # rho = 0.9995, and below 1 at small theta
+    a, phi = (1.0 - rho) / rho, rho * theta
+    kappa = phi * np.abs(1.0 / np.tan(phi) - a / np.tan(theta - phi))
+    for g, th, ww, k in zip(got, theta, w, kappa):
+        rel_err = abs(float(mpmath.expm1(mpmath.mpf(float(g)) - _mp_log_kanter(rho, th, ww))))
+        assert rel_err <= 2e-14 + 2.0**-53 * k, (th, ww)
 
 
 def test_stable_vector_marginals_and_isotropy():
