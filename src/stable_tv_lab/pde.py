@@ -8,7 +8,7 @@ symbol check pins the normalization of the whole module.
 Poisson solutions follow the probabilistic representation
 f(x) = int_0^inf [mu(h) - P_t h(x)] dt.  poisson_solution_grid solves the
 one problem with a closed form, the OU drift with h = cos, on a whole grid
-in one vectorized integral (cosines from ou._half_angle_cos);
+in one vectorized integral (cosines from tan, _half_angle_cos);
 poisson_solution_mc estimates f(x) for any h and drift from a Monte Carlo
 ensemble shared across time nodes.
 """
@@ -26,7 +26,7 @@ from scipy.integrate import quad, quad_vec, simpson
 from scipy.interpolate import CubicSpline
 
 from stable_tv_lab.constants import a_const
-from stable_tv_lab.ou import _half_angle_cos, transition_cf
+from stable_tv_lab.ou import transition_cf
 from stable_tv_lab.sde import DriftField, EulerConfig, advance
 
 
@@ -242,6 +242,22 @@ def generator_p(f: GridFunction, drift: DriftField, alpha: float, x: float) -> f
     """Stable generator b(x) f'(x) + (half-speed fractional Laplacian)."""
     bx = float(drift.b(np.array([[x]]))[0, 0])
     return bx * f.deriv1(x) + frac_laplacian_1d(f, alpha, x)
+
+
+def _half_angle_cos(theta: np.ndarray) -> np.ndarray:
+    """cos(theta) as (1 - t^2) / (1 + t^2) with t = tan(theta / 2); theta is not modified.
+
+    numpy's AVX-512 builds vectorize float64 tan, not cos, so this is the
+    cheaper cosine for the Poisson grid; it is within ~2e-16 of np.cos
+    and exactly -1 at odd multiples of pi, where t is huge but finite.
+    """
+    t = np.multiply(theta, 0.5)
+    np.tan(t, out=t)
+    t *= t
+    num = 1.0 - t
+    t += 1.0
+    num /= t
+    return num
 
 
 def poisson_solution_grid(alpha: float, grid) -> GridFunction:

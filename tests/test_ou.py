@@ -3,8 +3,17 @@ exact total-variation curve.
 
 The EXACT_TV oracle values were produced by an independent FFT inversion of
 the ergodic characteristic functions (2^22 modes on [-200, 200]) and agree
-with the package's adaptive-quadrature route to ~1e-7; they are frozen at
-1e-5 tolerance.
+with the package's route to ~1e-7; they are frozen at 1e-5 tolerance.
+
+KNOT_DENSITY freezes the ergodic density at spline knots, computed by
+30-digit mpmath quadrature of the cosine transform (~45 s in all):
+
+    mp.dps = 30; phi = lambda s: cos(s * x) * exp(-s ** alpha / (2 * alpha))
+    p = (quad(phi, linspace(0, 250, max(8, int(250 * x / pi) + 1) + 1))
+         + quad(phi, [250, inf])) / pi
+
+with alpha and x as mpf; the x = 0 values equal the closed form
+(2 alpha)^{1/alpha} Gamma(1 + 1/alpha) / pi to all digits.
 """
 
 import math
@@ -19,7 +28,7 @@ from stable_tv_lab import (
     transition_cf,
     tv_from_densities,
 )
-from stable_tv_lab.ou import _half_angle_cos
+from stable_tv_lab import ou
 
 EXACT_TV = {
     1.7: 0.0852263394,
@@ -27,6 +36,25 @@ EXACT_TV = {
     1.95: 0.0131882511,
     1.99: 0.0026080876,
     1.995: 0.0013022198,
+}
+
+KNOT_DENSITY = {
+    (1.05, 0): 0.6328531462849576112097489,
+    (1.05, 1): 0.13033096861341109963752,
+    (1.05, 10): 0.001383582360823612104898648,
+    (1.05, 40): 0.00008040248951176811215337821,
+    (1.5, 0): 0.5977178098051018105530983,
+    (1.5, 1): 0.1623165798711842762362388,
+    (1.5, 10): 0.0003262315024718419806704143,
+    (1.5, 40): 0.000009897545302782010033816173,
+    (1.9, 0): 0.5702967011659866266907876,
+    (1.9, 1): 0.1987632301741335461844445,
+    (1.9, 10): 0.00003114627269002003390415114,
+    (1.9, 40): 0.0000005423072591046562747653617,
+    (1.9995, 0): 0.5642194034095981375690435,
+    (1.9995, 1): 0.2075108672697724319259945,
+    (1.9995, 10): 0.0000001290201923368221293676943,
+    (1.9995, 40): 1.959997692793245469661973e-9,
 }
 
 
@@ -78,13 +106,20 @@ def test_cos_semigroup_boundary_behaviour():
     assert transition_cf(alpha, 1.0, x, 50.0).real == pytest.approx(mu, abs=1e-12)
 
 
-def test_half_angle_cos_matches_np_cos():
-    theta = np.random.default_rng(8).uniform(-1e5, 1e5, 1_000_000)
-    assert np.max(np.abs(_half_angle_cos(theta) - np.cos(theta))) <= 4.5e-16
-    # tan(theta / 2) is huge but finite at odd multiples of pi, so t^2 swamps the 1s
-    odd = np.arange(-2001, 2002, 2) * np.pi
-    assert np.all(_half_angle_cos(odd) == -1.0)
-    assert np.all(_half_angle_cos(np.array([0.0, -0.0])) == 1.0)
+@pytest.mark.parametrize("alpha", sorted({a for a, _ in KNOT_DENSITY}))
+def test_density_at_knots_matches_mpmath_oracle(alpha):
+    vals = ou._cos_transform(alpha)
+    for (a, x), expected in KNOT_DENSITY.items():
+        if a == alpha:
+            assert ou._KNOTS[round(x / ou.KNOT_SPACING)] == x
+            assert vals[round(x / ou.KNOT_SPACING)] == pytest.approx(expected, abs=1e-11)
+
+
+def test_too_short_transform_raises(monkeypatch):
+    # at 2^13 modes (period 163.84) the third tail term's images alone exceed 1e-11
+    monkeypatch.setattr(ou, "FFT_MODES", 2 ** 13)
+    with pytest.raises(RuntimeError, match="error bound"):
+        ou._cos_transform(1.05)
 
 
 def test_brownian_ergodic_density_is_gaussian():

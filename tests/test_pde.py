@@ -22,6 +22,7 @@ from stable_tv_lab import (
     poisson_solution_grid,
     poisson_solution_mc,
 )
+from stable_tv_lab.pde import _half_angle_cos
 
 POISSON_F0 = {
     2.0: -0.103789001406,
@@ -155,6 +156,17 @@ def test_generator_q_on_cos():
 @pytest.mark.parametrize("alpha,expected", sorted(POISSON_F0.items()))
 def test_poisson_solution_at_origin(alpha, expected):
     assert poisson_solution_grid(alpha, SMALL_GRID)(0.0) == pytest.approx(expected, abs=1e-7)
+
+
+def test_half_angle_cos_matches_np_cos():
+    theta = np.random.default_rng(8).uniform(-1e5, 1e5, 1_000_000)
+    before = theta.copy()
+    assert np.max(np.abs(_half_angle_cos(theta) - np.cos(theta))) <= 4.5e-16
+    assert np.array_equal(theta, before)  # the input is not modified
+    # tan(theta / 2) is huge but finite at odd multiples of pi, so t^2 swamps the 1s
+    odd = np.arange(-2001, 2002, 2) * np.pi
+    assert np.all(_half_angle_cos(odd) == -1.0)
+    assert np.all(_half_angle_cos(np.array([0.0, -0.0])) == 1.0)
 
 
 def test_poisson_solution_solves_the_equation():
