@@ -4,7 +4,9 @@
 Usage:
     python3 scripts/run_all_campaigns.py [--seed N] [--out runs] [--skip NAME ...]
 
-Heavy campaigns (tv-theorem ~1 min) can be skipped with --skip.
+Heavy campaigns can be skipped with --skip: at workers = 1 on a 2-vCPU
+machine tv-theorem takes ~36 s and gradient-probe ~9 s; the rest take
+about 1 s together.
 """
 
 import argparse

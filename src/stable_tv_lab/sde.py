@@ -5,19 +5,23 @@
 
 One stepper, advance, integrates every path the lab simulates: the
 ensembles of run_ensemble (and so mc_semigroup and the campaigns), the
-coupled driver ('coupled', alpha), which moves a stable and a Brownian
-path on shared Gaussians, and the shared state of the Monte Carlo Poisson
-engine.  The driver alone picks the increments, exact in law at every
-step: stable_sampling's one symmetric-stable sampler, sample_stable_vector,
-gives sqrt(h) z for Brownian motion and the subordinated sqrt(S) z, with
-S the alpha/2-stable subordinator, for the stable driver in every d; the
-coupled driver draws z and S itself, since its Brownian path needs z.  The
+coupled driver ('coupled', (alpha_1, ..., alpha_k)), which moves k stable
+paths and one Brownian path on shared draws, and the shared state of the
+Monte Carlo Poisson engine.  The driver alone picks the increments, exact
+in law at every step: stable_sampling's one symmetric-stable sampler,
+sample_stable_vector, gives sqrt(h) z for Brownian motion and the
+subordinated sqrt(S) z, with S the alpha/2-stable subordinator, for the
+stable driver in every d.  The coupled driver draws z and the k
+subordinators itself, all k from one Kanter draw, since its Brownian path
+needs z: its stable path j moves by sqrt(S_j) z and its Brownian path by
+sqrt(h) z, each exact in law, so one alpha's path is the same whichever
+other alpha run beside it (common random numbers across alpha).  The
 only discretization error is in the drift term, which keeps the
-alpha -> 2 comparison clean.  EulerConfig holds the step dt and the
-diffusion matrix sigma, nothing else.  Paths are simulated in fixed-size
-blocks with per-block substreams, so ensembles are bit-identical
-regardless of the worker count; campaigns pass their `workers` setting
-through.  Several start points given at once move on one set of
+alpha -> 2 comparison clean.  EulerConfig holds the step dt, which has
+no default, and the diffusion matrix sigma, nothing else.  Paths are
+simulated in fixed-size blocks with per-block substreams, so ensembles
+are bit-identical regardless of the worker count; campaigns pass their
+`workers` setting through.  Several start points given at once move on one set of
 increments per block (common random numbers), each exactly as it would
 alone.
 """
@@ -73,12 +77,12 @@ def drift_registry(name: str, d: int = 1) -> DriftField:
 
 @dataclass(frozen=True)
 class EulerConfig:
-    dt: float | None = None
+    dt: float
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
         if self.sigma is not None:
             sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
             if not np.isfinite(np.linalg.cond(sigma)):
@@ -86,7 +90,8 @@ class EulerConfig:
             object.__setattr__(self, "sigma", sigma)
 
     def step_size(self, t: float) -> float:
-        return self.dt if self.dt is not None else min(1e-3, t / 100.0)
+        """The step over a horizon t: dt, whatever t."""
+        return self.dt
 
 
 def probe_h1(drift: DriftField, pairs) -> float:
@@ -143,55 +148,67 @@ def probe_h2(drift: DriftField, points, fd_step: float = 1e-5, rng: RngStream | 
 
 
 def _check_run(driver, t: float):
-    """Validate one Euler run; 'brownian', ('stable', alpha) or ('coupled', alpha) -> (kind, alpha)."""
+    """Validate one Euler run -> (kind, alpha): 'brownian' gives alpha 2.0,
+    ('stable', alpha) a float and ('coupled', (alpha_1, ..., alpha_k)) a tuple."""
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
     if driver == "brownian":
         return "brownian", 2.0
-    if isinstance(driver, (tuple, list)) and len(driver) == 2 and driver[0] in ("stable", "coupled"):
-        alpha = float(driver[1])
-        if not 1.0 < alpha < 2.0:
-            raise ValueError(f"{driver[0]} driver needs alpha in (1, 2), got {alpha}")
-        return driver[0], alpha
-    raise ValueError(f"driver must be 'brownian', ('stable', alpha) or ('coupled', alpha), got {driver!r}")
+    kind, alpha = driver if isinstance(driver, (tuple, list)) and len(driver) == 2 else (None, None)
+    if kind == "stable":
+        alphas = (float(alpha),)
+    elif kind == "coupled" and isinstance(alpha, (tuple, list)) and alpha:
+        alphas = tuple(float(a) for a in alpha)
+    else:
+        raise ValueError(
+            "driver must be 'brownian', ('stable', alpha) or ('coupled', (alpha_1, ..., alpha_k)), "
+            f"got {driver!r}"
+        )
+    for a in alphas:
+        if not 1.0 < a < 2.0:
+            raise ValueError(f"{kind} driver needs alpha in (1, 2), got {a}")
+    return kind, alphas if kind == "coupled" else alphas[0]
 
 
-def _increments(kind: str, alpha: float, h: float, n: int, d: int, rng: RngStream):
-    """Exact-in-law driver increments over one step of size h, one (n, d) array per path."""
+def _increments(kind: str, alpha, h: float, n: int, d: int, rng: RngStream) -> np.ndarray:
+    """Exact-in-law driver increments over one step of size h, shape (paths, n, d)."""
     if kind != "coupled":  # alpha = 2 for Brownian motion
-        return [sample_stable_vector(alpha, h, d, rng, n)]
-    # coupled: the Gaussians first, then the subordinator; z also drives the Brownian path
+        return sample_stable_vector(alpha, h, d, rng, n)[None]
+    # coupled: the Gaussians first, then one subordinator per alpha; z also drives the Brownian path
     z = rng.normal((n, d))
     s = sample_subordinator(alpha, h, rng, n)
-    return [np.sqrt(s)[:, None] * z, np.sqrt(h) * z]
+    dl = np.empty((len(alpha) + 1, n, d))
+    np.multiply(np.sqrt(s, out=s)[..., None], z, out=dl[:-1])
+    np.multiply(np.sqrt(h), z, out=dl[-1])
+    return dl
 
 
 def advance(state: np.ndarray, t: float, drift: DriftField, driver, cfg: EulerConfig, rng: RngStream) -> None:
     """Advance paths in place by time t with Euler-Maruyama.
 
-    state is (..., n, d), or (2, ..., n, d) for ('coupled', alpha): a
-    stable path and a Brownian path on shared Gaussians z, with increments
-    sqrt(S) z and sqrt(h) z.  Each
-    step draws one (n, d) increment per driver and adds it to every index
-    of the leading axes, so m start points stacked as (m, n, d) share their
-    draws; drift.b sees the (-1, d) rows.  It takes
-    ceil(t/dt - 1e-9) steps of dt = cfg.step_size(t), the last of them cut
-    to what remains of t, so the horizon is t: a remainder of at most 1e-9
-    of a step is round-off and takes no step of its own.  Raises
+    state is (..., n, d), or (k + 1, ..., n, d) for
+    ('coupled', (alpha_1, ..., alpha_k)): k stable paths and a Brownian
+    path, last, on shared Gaussians z, with increments sqrt(S_j) z and
+    sqrt(h) z, the S_j from one Kanter draw.  Each step draws one (n, d)
+    increment per path and adds it to every index of the axes between, so
+    m start points stacked as (m, n, d) share their draws; drift.b sees the
+    (-1, d) rows.  It takes ceil(t/dt - 1e-9) steps of cfg.dt, the last of
+    them cut to what remains of t, so the horizon is t: a remainder of at
+    most 1e-9 of a step is round-off and takes no step of its own.  Raises
     IntegrationError when a state becomes non-finite.
     """
     kind, alpha = _check_run(driver, t)
-    dt = cfg.step_size(t)
     paths = state if kind == "coupled" else state[None]
     n, d = state.shape[-2:]
+    between = (1,) * (paths.ndim - 3)  # the start-point axes, which share each increment
     remaining = t
-    for step in range(math.ceil(t / dt - 1e-9)):
-        h = min(dt, remaining)
-        for x, dl in zip(paths, _increments(kind, alpha, h, n, d, rng)):
-            if cfg.sigma is not None:
-                dl = dl @ cfg.sigma.T
-            x += drift.b(x.reshape(-1, d)).reshape(x.shape) * h
-            x += dl
+    for step in range(math.ceil(t / cfg.dt - 1e-9)):
+        h = min(cfg.dt, remaining)
+        dl = _increments(kind, alpha, h, n, d, rng)
+        if cfg.sigma is not None:
+            dl = dl @ cfg.sigma.T
+        paths += drift.b(paths.reshape(-1, d)).reshape(paths.shape) * h
+        paths += dl.reshape(dl.shape[:1] + between + (n, d))
         if not np.isfinite(state).all():
             raise IntegrationError(step)
         remaining -= h
@@ -210,38 +227,43 @@ def run_ensemble(
     """The endpoints of n independent paths; independent of the worker count.
 
     x0 is one start point, shape (d,), or m of them, shape (m, d); the
-    endpoints are (n, d) or (m, n, d), with a leading axis of 2 (stable,
-    then Brownian) for a coupled driver.  The m start points move on one
+    endpoints are (n, d) or (m, n, d), with a leading axis of k + 1 (the
+    stable paths of alpha_1, ..., alpha_k, then the Brownian path) for
+    ('coupled', (alpha_1, ..., alpha_k)).  The m start points move on one
     set of driver increments, so row j equals, bit for bit, the run from
-    x0[j] alone on the same stream.  Work is partitioned into fixed
-    BLOCK_SIZE blocks, block i drawing from rng.substream(i); blocks are
-    concatenated in index order.
+    x0[j] alone on the same stream; likewise the stable row of alpha_j
+    equals the coupled run of alpha_j alone, and the Brownian row is the
+    same for every set of alpha.  Work is partitioned into fixed BLOCK_SIZE
+    blocks, block i drawing from rng.substream(i) and writing its slice of
+    the one output array.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    kind, _ = _check_run(driver, t)
+    kind, alpha = _check_run(driver, t)
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     sizes = [min(BLOCK_SIZE, n - i * BLOCK_SIZE) for i in range(n_blocks)]
     start = np.atleast_1d(np.asarray(x0, dtype=float))
     if start.ndim > 2:
         raise ValueError(f"x0 must have shape (d,) or (m, d), got {start.shape}")
     start = np.broadcast_to(start, start.shape[:-1] + (drift.d,))[..., None, :]
-    lead = ((2,) if kind == "coupled" else ()) + start.shape[:-2]
+    lead = ((len(alpha) + 1,) if kind == "coupled" else ()) + start.shape[:-2]
+    ends = np.empty(lead + (n, drift.d))
 
     def job(i):
         state = np.broadcast_to(start, lead + (sizes[i], drift.d)).copy()
         advance(state, t, drift, driver, cfg, rng.substream(i))
-        return state
+        ends[..., i * BLOCK_SIZE : i * BLOCK_SIZE + sizes[i], :] = state
 
     if workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(job, range(n_blocks)))
+            list(pool.map(job, range(n_blocks)))  # list() re-raises a block's exception
     else:
-        blocks = [job(i) for i in range(n_blocks)]
-    return np.concatenate(blocks, axis=-2)
+        for i in range(n_blocks):
+            job(i)
+    return ends
 
 
-def mc_semigroup(h, drift, driver, x, t, n, rng, cfg: EulerConfig | None = None, workers: int = 1):
+def mc_semigroup(h, drift, driver, x, t, n, rng, cfg: EulerConfig, workers: int = 1):
     """Monte Carlo estimate of P_t h(x) (or Q_t h(x)) with its std error.
 
     x is one start point, shape (d,), giving floats (est, se), or m start
@@ -251,7 +273,7 @@ def mc_semigroup(h, drift, driver, x, t, n, rng, cfg: EulerConfig | None = None,
     """
     if isinstance(driver, (tuple, list)) and driver[0] == "coupled":
         raise ValueError("mc_semigroup needs a single driver, not a coupled one")
-    ends = run_ensemble(drift, cfg or EulerConfig(), driver, x, t, n, rng, workers=workers)
+    ends = run_ensemble(drift, cfg, driver, x, t, n, rng, workers=workers)
     vals = np.asarray(h(ends[..., 0] if drift.d == 1 else ends), dtype=float)
     est = np.mean(vals, axis=-1)
     se = np.std(vals, axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.full(est.shape, np.inf)

@@ -11,9 +11,11 @@ sampler checks.  The subordinator uses the Kanter/Zolotarev transform for
 a *unit-scale* draw, then applies a scale factor derived from the target
 exponent.  The one-sided draw is computed in log space, scale included,
 from the half-angle tangents of its uniform angle, so it stays finite and
-positive up to alpha -> 2.  The scale algebra is the dominant failure
-mode, so it is pinned by CF and Laplace-transform acceptance tests, never
-trusted.
+positive up to alpha -> 2.  Given several alpha at once, the subordinator
+draws its uniform angle and exponential once and transforms them for each
+alpha, as the coupled Euler driver of several alpha needs.  The scale
+algebra is the dominant failure mode, so it is pinned by CF and
+Laplace-transform acceptance tests, never trusted.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def _nonzero(draw, x):
     return x
 
 
-def _log_kanter(rho: float, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _log_kanter(rho: float, theta: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log S for the Kanter draw S = (A(theta) / w)^a, a = (1 - rho) / rho, with
     A = sin((1 - rho) theta) sin(rho theta)^(rho / (1 - rho)) / sin(theta)^(1 / (1 - rho)).
 
@@ -50,14 +52,14 @@ def _log_kanter(rho: float, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
     every coefficient stays bounded as rho -> 1, so nothing under- or
     overflows where the powers of A would; there t1 - t2 loses about
     eps / (1 - rho) relative, which the factor a ~ 1 - rho takes back.
-    theta and w are left as they are.
+    theta and w are left as they are; log S goes to out when it is given.
     """
     t1 = np.tan(0.5 * theta)
     t2 = np.tan((0.5 * rho) * theta)
     den = t2 * t2
     den += 1.0
     den *= t1
-    num = t1 - t2
+    num = np.subtract(t1, t2, out=out)
     cross = t1 * t2
     cross += 1.0
     num *= cross
@@ -73,40 +75,55 @@ def _log_kanter(rho: float, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
     return log_s
 
 
-def _log_unit_pos_stable(rho: float, rng: RngStream, size: int) -> np.ndarray:
-    """log of size Kanter/Zolotarev draws with Laplace transform exp(-r^rho), rho in (0,1).
+def _log_unit_pos_stable(rhos, rng: RngStream, size: int) -> np.ndarray:
+    """log of size Kanter/Zolotarev draws for each rho in rhos, shape (len(rhos), size).
 
-    theta = 0 gives a NaN and w = 0 an infinite log.  Both are null events
-    (probability ~2^-53 each), so when a log is not finite the exact zeros
-    of theta and w are redrawn from the same stream and the kernel applied
-    again: rejection, which leaves the law unchanged.  The check is one max
-    per array.
+    Row j has Laplace transform exp(-r^rho_j), rho_j in (0, 1), and every
+    row comes from one draw of (theta, w).  theta = 0 gives a NaN and
+    w = 0 an infinite log, whatever rho.  Both are null events (probability
+    ~2^-53 each), so when a log is not finite the exact zeros of theta and
+    w are redrawn from the same stream and the kernel applied again:
+    rejection, which leaves the law unchanged.  The check is one max per
+    array.
     """
     theta = rng.uniform(0.0, np.pi, size)
     w = rng.exponential(size)
-    log_s = _log_kanter(rho, theta, w)
+    log_s = np.empty((len(rhos), size))
+    for rho, row in zip(rhos, log_s):
+        _log_kanter(rho, theta, w, out=row)
     if log_s.size and not math.isfinite(log_s.max()):
         theta = _nonzero(lambda k: rng.uniform(0.0, np.pi, k), theta)
         w = _nonzero(rng.exponential, w)
-        log_s = _log_kanter(rho, theta, w)
+        for rho, row in zip(rhos, log_s):
+            _log_kanter(rho, theta, w, out=row)
     return log_s
 
 
-def sample_subordinator(alpha: float, t: float, rng: RngStream, size: int) -> np.ndarray:
+def sample_subordinator(alpha, t: float, rng: RngStream, size: int) -> np.ndarray:
     """size draws of S_t, alpha in (0, 2), with Laplace transform exp(-t (2r)^{alpha/2} / 2).
+
+    alpha is one value, giving shape (size,), or a tuple of k values,
+    giving (k, size): row j is S_t for alpha[j], and all rows come from one
+    Kanter draw (theta, w), so row j equals, bit for bit, the draw for
+    alpha[j] alone on the same stream (common random numbers).
 
     E exp(-r c S) = exp(-(cr)^rho) for a unit Kanter draw S, so the scale
     c must satisfy c^rho = t 2^{rho - 1} with rho = alpha/2, i.e.
     c = t^{2/alpha} 2^{1 - 2/alpha}.  The draw is exp(log c + log S).
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
+    alphas = alpha if isinstance(alpha, tuple) else (alpha,)
+    if not alphas:
+        raise ValueError("need at least one alpha")
+    for a in alphas:
+        if not 0.0 < a < 2.0:
+            raise ValueError(f"alpha must be in (0, 2), got {a}")
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    log_scale = (2.0 / alpha) * math.log(t) + (1.0 - 2.0 / alpha) * math.log(2.0)
-    log_s = _log_unit_pos_stable(alpha / 2.0, rng, size)
-    log_s += log_scale
-    return np.exp(log_s, out=log_s)
+    log_s = _log_unit_pos_stable([a / 2.0 for a in alphas], rng, size)
+    for a, row in zip(alphas, log_s):
+        row += (2.0 / a) * math.log(t) + (1.0 - 2.0 / a) * math.log(2.0)
+    s = np.exp(log_s, out=log_s)
+    return s if isinstance(alpha, tuple) else s[0]
 
 
 def sample_stable_vector(alpha: float, t: float, d: int, rng: RngStream, n: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from stable_tv_lab import campaigns
+from stable_tv_lab import RngStream, campaigns
 from stable_tv_lab.campaigns import (
     CAMPAIGNS,
     DEFAULT_PARAMS,
@@ -165,3 +165,42 @@ def test_cli_config_errors_exit_with_usage_status(bad, tmp_path, capsys, monkeyp
 def test_cli_rejects_unknown_campaign():
     with pytest.raises(SystemExit):
         main(["definitely-not-a-campaign"])
+
+
+def test_tv_theorem_runs_one_ensemble_for_every_alpha(monkeypatch):
+    ensembles, pair_alphas = [], []
+    run_ensemble, pair = campaigns.run_ensemble, campaigns.coupled_ergodic_pair
+
+    def counted_ensemble(*args, **kwargs):
+        ensembles.append(args[2])
+        return run_ensemble(*args, **kwargs)
+
+    def counted_pair(alpha, *args, **kwargs):
+        pair_alphas.append(alpha)
+        return pair(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(campaigns, "run_ensemble", counted_ensemble)
+    monkeypatch.setattr(campaigns, "coupled_ergodic_pair", counted_pair)
+    report = run_campaign(ExperimentConfig("tv-theorem", seed=0, params={"n": 2 * BLOCK_SIZE + 5}))
+    alphas = sorted(DEFAULT_PARAMS["tv-theorem"]["alpha"])
+    assert ensembles == [("coupled", tuple(alphas))]
+    assert pair_alphas == alphas
+    assert campaigns._coupled_ensemble.cache_info().currsize == 0  # the memo is cleared
+    # frozen from one coupled ensemble per alpha on streams 1000 + k: sharing
+    # stream 1000 must leave the smallest alpha's row and the noise floor as they were
+    checks = {c["name"]: c["value"] for c in report.checks}
+    assert report.data["tv_theorem"][1][:3] == [1.7, 0.03746399404187739, 0.10198853238989879]
+    assert checks["noise-floor<=0.05"] == 0.12786725231820398
+
+
+def test_coupled_pairs_are_read_only_rows_of_one_ensemble():
+    alphas, rng = (1.7, 1.9), RngStream(0, 1000)
+    try:
+        x17, _ = campaigns.coupled_ergodic_pair(1.7, alphas, 0.1, 0.05, 100, rng)
+        x19, y19 = campaigns.coupled_ergodic_pair(1.9, alphas, 0.1, 0.05, 100, rng)
+        assert x17.base is x19.base is y19.base
+        assert not (x17.flags.writeable or x19.flags.writeable or y19.flags.writeable)
+        with pytest.raises(ValueError):  # alpha must be one of the ensemble's
+            campaigns.coupled_ergodic_pair(1.8, alphas, 0.1, 0.05, 100, rng)
+    finally:
+        campaigns._coupled_ensemble.cache_clear()

@@ -51,10 +51,12 @@ def test_probe_h2_recovers_ou_derivative_bounds():
 
 
 def test_euler_config_validation():
-    with pytest.raises(ValueError):
-        EulerConfig(dt=-0.1)
+    for dt in (-0.1, 0.0, float("nan")):
+        with pytest.raises(ValueError):
+            EulerConfig(dt=dt)
+    with pytest.raises(TypeError):  # dt is required: there is no default step
+        EulerConfig()
     assert EulerConfig(dt=0.5).step_size(10.0) == 0.5
-    assert EulerConfig().step_size(10.0) == pytest.approx(1e-3)
 
 
 def test_brownian_ou_moments_match_closed_form():
@@ -69,24 +71,25 @@ def test_brownian_ou_moments_match_closed_form():
 
 
 def test_worker_count_never_changes_the_ensemble():
-    kwargs = dict(
-        drift=drift_registry("ou"),
-        cfg=EulerConfig(dt=0.01),
-        driver=("stable", 1.5),
-        x0=[0.0],
-        t=0.5,
-        n=3 * BLOCK_SIZE + 17,
-        rng=RngStream(21, 0),
-    )
-    single = run_ensemble(workers=1, **kwargs)
-    parallel = run_ensemble(workers=4, **kwargs)
-    np.testing.assert_array_equal(single, parallel)
+    for driver in [("stable", 1.5), ("coupled", (1.5, 1.8, 1.9))]:
+        kwargs = dict(
+            drift=drift_registry("ou"),
+            cfg=EulerConfig(dt=0.01),
+            driver=driver,
+            x0=[0.0],
+            t=0.5,
+            n=3 * BLOCK_SIZE + 17,
+            rng=RngStream(21, 0),
+        )
+        single = run_ensemble(workers=1, **kwargs)
+        parallel = run_ensemble(workers=4, **kwargs)
+        np.testing.assert_array_equal(single, parallel)
 
 
 @pytest.mark.parametrize(
     "driver",
-    ["brownian", ("stable", 1.5), ("coupled", 1.5)],
-    ids=["brownian", "stable-subordinated", "coupled"],
+    ["brownian", ("stable", 1.5), ("coupled", (1.5,)), ("coupled", (1.5, 1.8, 1.9))],
+    ids=["brownian", "stable-subordinated", "coupled", "coupled-3-alpha"],
 )
 @pytest.mark.parametrize("workers", [1, 2])
 def test_start_points_share_draws_and_match_single_runs(driver, workers):
@@ -101,11 +104,31 @@ def test_start_points_share_draws_and_match_single_runs(driver, workers):
         workers=workers,
     )
     many = run_ensemble(x0=x0, **kwargs)
-    lead = (2,) if driver[0] == "coupled" else ()
+    lead = (len(driver[1]) + 1,) if driver[0] == "coupled" else ()
     assert many.shape == lead + (3, kwargs["n"], 1)
     for j, start in enumerate(x0):
         one = run_ensemble(x0=start, **kwargs)
         np.testing.assert_array_equal(many[..., j, :, :], one)
+
+
+def test_coupled_rows_match_single_alpha_runs():
+    # one coupled ensemble of three alpha: each stable row is the coupled run of its alpha
+    # alone on the same stream, and the Brownian row is that of every such run
+    alphas = (1.5, 1.8, 1.9)
+    kwargs = dict(
+        drift=drift_registry("ou"),
+        cfg=EulerConfig(dt=0.05),
+        x0=[0.0],
+        t=0.5,
+        n=BLOCK_SIZE + 7,
+        rng=RngStream(24, 0),
+    )
+    many = run_ensemble(driver=("coupled", alphas), **kwargs)
+    assert many.shape == (4, kwargs["n"], 1)
+    for j, alpha in enumerate(alphas):
+        stable, brownian = run_ensemble(driver=("coupled", (alpha,)), **kwargs)
+        np.testing.assert_array_equal(many[j], stable)
+        np.testing.assert_array_equal(many[-1], brownian)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -132,7 +155,7 @@ def test_start_points_must_broadcast_to_d_or_m_by_d():
         (ou2, np.zeros((2, 1, 2))),
     ]:
         with pytest.raises(ValueError):
-            run_ensemble(drift, EulerConfig(), "brownian", x0, 0.1, 16, RngStream(0, 0))
+            run_ensemble(drift, EulerConfig(dt=0.1), "brownian", x0, 0.1, 16, RngStream(0, 0))
 
 
 def test_mc_semigroup_returns_floats_for_one_start_and_arrays_for_many():
@@ -188,7 +211,7 @@ def test_steps_land_exactly_on_the_horizon():
         assert abs(end - t) < 1e-12
 
 
-@pytest.mark.parametrize("driver", ["brownian", ("stable", 1.5), ("coupled", 1.5)])
+@pytest.mark.parametrize("driver", ["brownian", ("stable", 1.5), ("coupled", (1.5,))])
 def test_sigma_scales_every_driver(driver):
     # zero drift, sigma = 2: Brownian endpoints N(0, 4t), stable CF exp(-t |2 xi|^alpha / 2)
     t, n = 1.0, 40_000
@@ -197,7 +220,7 @@ def test_sigma_scales_every_driver(driver):
     coupled = driver[0] == "coupled"
     paths = ends[..., 0] if coupled else [ends[:, 0]]
     if driver != "brownian":
-        alpha = driver[1]
+        alpha = driver[1][0] if coupled else driver[1]
         for xi in (0.5, 1.0):
             cf = np.mean(np.cos(xi * paths[0]))
             assert abs(cf - np.exp(-t * (2.0 * xi) ** alpha / 2.0)) < 4.0 / np.sqrt(n)
@@ -214,15 +237,19 @@ def test_explosive_drift_raises_integration_error():
 def test_driver_parsing_rejects_bad_alpha():
     for driver, t in [
         (("stable", 2.5), 1.0),
-        (("coupled", 1.0), 1.0),
+        (("coupled", (1.0,)), 1.0),
+        (("coupled", (1.5, 2.0)), 1.0),
+        (("coupled", ()), 1.0),
+        (("coupled", 1.5), 1.0),  # the coupled driver takes a tuple of alpha
         ("poisson", 1.0),
         ("brownian", 0.0),  # would silently return x0
         ("brownian", -1.0),
     ]:
         with pytest.raises(ValueError):
-            run_ensemble(drift_registry("ou"), EulerConfig(), driver, [0.0], t, 16, RngStream(0, 0))
+            run_ensemble(drift_registry("ou"), EulerConfig(dt=0.1), driver, [0.0], t, 16, RngStream(0, 0))
     with pytest.raises(ValueError):  # a coupled ensemble has no single P_t h
-        mc_semigroup(np.cos, drift_registry("ou"), ("coupled", 1.5), [0.0], 1.0, 16, RngStream(0, 0))
+        mc_semigroup(np.cos, drift_registry("ou"), ("coupled", (1.5,)), [0.0], 1.0, 16, RngStream(0, 0),
+                     cfg=EulerConfig(dt=0.1))
 
 
 def test_mc_semigroup_matches_cosine_closed_form():

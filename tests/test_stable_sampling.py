@@ -34,6 +34,9 @@ def test_spec_validation():
         sample_subordinator(2.0, 1.0, rng, 10)  # subordinator needs alpha < 2
     with pytest.raises(ValueError):
         sample_subordinator(1.5, 0.0, rng, 10)
+    for alphas in [(), (1.5, 2.0)]:  # several alpha: none, or one out of range
+        with pytest.raises(ValueError):
+            sample_subordinator(alphas, 1.0, rng, 10)
 
 
 def test_alpha_two_is_gaussian_with_variance_t():
@@ -65,6 +68,15 @@ def test_subordinator_positivity_and_laplace(alpha):
         emp = float(np.mean(np.exp(-r * s)))
         target = np.exp(-t * (2.0 * r) ** (alpha / 2.0) / 2.0)
         assert abs(emp - target) < CF_TOL
+
+
+def test_subordinators_of_several_alpha_share_one_kanter_draw():
+    # row j of the tuple form is, bit for bit, the draw for alpha[j] alone on the same stream
+    alphas = (1.2, 1.7, 1.99)
+    many = sample_subordinator(alphas, 0.3, RngStream(7, 4), 1000)
+    assert many.shape == (3, 1000)
+    for alpha, row in zip(alphas, many):
+        np.testing.assert_array_equal(row, sample_subordinator(alpha, 0.3, RngStream(7, 4), 1000))
 
 
 @pytest.mark.parametrize("alpha", [1.98, 1.99, 1.999])
@@ -171,9 +183,10 @@ def test_kanter_redraws_exact_zeros():
         def exponential(self, size):
             return self._edge("exponential", self.rng.exponential(size))
 
-    for size in (1, 64):
-        s = sample_subordinator(1.5, 1.0, ZerosFirst(), size)
-        assert np.all(np.isfinite(s)) and np.all(s > 0.0)
+    for alpha in (1.5, (1.5, 1.9)):  # one redraw serves every alpha
+        for size in (1, 64):
+            s = sample_subordinator(alpha, 1.0, ZerosFirst(), size)
+            assert np.all(np.isfinite(s)) and np.all(s > 0.0)
 
 
 def test_sampler_replays_with_same_stream():
