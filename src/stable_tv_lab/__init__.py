@@ -50,7 +50,6 @@ from stable_tv_lab.pde import (
     generator_q,
     generator_p,
     poisson_solution_grid,
-    poisson_solution_mc,
     lin_norm_diff,
 )
 

@@ -8,9 +8,7 @@ symbol check pins the normalization of the whole module.
 Poisson solutions follow the probabilistic representation
 f(x) = int_0^inf [mu(h) - P_t h(x)] dt.  poisson_solution_grid solves the
 one problem with a closed form, the OU drift with h = cos, on a whole grid
-in one vectorized integral (cosines from tan, _half_angle_cos);
-poisson_solution_mc estimates f(x) for any h and drift from a Monte Carlo
-ensemble shared across time nodes.
+in one vectorized integral (cosines from tan, _half_angle_cos).
 """
 
 from __future__ import annotations
@@ -22,12 +20,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, quad_vec, simpson
+from scipy.integrate import quad, quad_vec
 from scipy.interpolate import CubicSpline
 
 from stable_tv_lab.constants import a_const
 from stable_tv_lab.ou import transition_cf
-from stable_tv_lab.sde import DriftField, EulerConfig, advance
+from stable_tv_lab.sde import DriftField
 
 
 @dataclass(frozen=True)
@@ -280,26 +278,6 @@ def poisson_solution_grid(alpha: float, grid) -> GridFunction:
     if info.status != 0:
         raise RuntimeError(f"Poisson integral did not converge: {info.message}")
     return GridFunction(grid=xs, values=-val)
-
-
-def poisson_solution_mc(h, mu_h, drift, alpha, x, *, t_max, quad_steps, n_paths, rng, dt) -> float:
-    """f(x) = int_0^t_max [mu_h - P_t h(x)] dt by Monte Carlo, for any h and drift.
-
-    Composite Simpson quadrature on quad_steps + 1 time nodes, each node
-    reusing one common ensemble of n_paths paths from x, advanced node to
-    node with Euler step dt (common random numbers keep the integrand
-    smooth in t).  alpha = 2 is the Brownian driver.
-    """
-    nodes = np.linspace(0.0, t_max, quad_steps + 1)
-    driver = "brownian" if alpha == 2.0 else ("stable", alpha)
-    cfg = EulerConfig(dt=dt)
-    state = np.full((n_paths, drift.d), float(x))
-    means = [float(np.mean(h(state[:, 0]))) - mu_h]
-    sub = rng.substream(0)
-    for k in range(quad_steps):
-        advance(state, nodes[k + 1] - nodes[k], drift, driver, cfg, sub)
-        means.append(float(np.mean(h(state[:, 0]))) - mu_h)
-    return float(-simpson(np.array(means), x=nodes))
 
 
 def lin_norm_diff(f_a: GridFunction, f_b: GridFunction) -> float:

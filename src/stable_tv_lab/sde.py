@@ -3,27 +3,30 @@
     dX_t = b(X_t) dt + sigma dL_t      (stable driver, 1 < alpha < 2)
     dY_t = b(Y_t) dt + sigma dB_t      (Brownian driver)
 
-One stepper, advance, integrates every path the lab simulates: the
-ensembles of run_ensemble (and so mc_semigroup and the campaigns), the
-coupled driver ('coupled', (alpha_1, ..., alpha_k)), which moves k stable
-paths and one Brownian path on shared draws, and the shared state of the
-Monte Carlo Poisson engine.  The driver alone picks the increments, exact
-in law at every step: stable_sampling's one symmetric-stable sampler,
-sample_stable_vector, gives sqrt(h) z for Brownian motion and the
-subordinated sqrt(S) z, with S the alpha/2-stable subordinator, for the
-stable driver in every d.  The coupled driver draws z and the k
-subordinators itself, all k from one Kanter draw, since its Brownian path
-needs z: its stable path j moves by sqrt(S_j) z and its Brownian path by
-sqrt(h) z, each exact in law, so one alpha's path is the same whichever
-other alpha run beside it (common random numbers across alpha).  The
-only discretization error is in the drift term, which keeps the
-alpha -> 2 comparison clean.  EulerConfig holds the step dt, which has
-no default, and the diffusion matrix sigma, nothing else.  Paths are
-simulated in fixed-size blocks with per-block substreams, so ensembles
-are bit-identical regardless of the worker count; campaigns pass their
-`workers` setting through.  Several start points given at once move on one set of
-increments per block (common random numbers), each exactly as it would
-alone.
+One stepper, advance, integrates every path the lab simulates, in
+blocks run by one private block runner for both run_ensemble (endpoints)
+and mc_semigroup (per-block sums of h), and so for the campaigns.  The
+driver alone picks the increments, exact in law at every step:
+stable_sampling's one symmetric-stable sampler, sample_stable_vector,
+gives sqrt(h) z for Brownian motion and the subordinated sqrt(S) z, with
+S the alpha/2-stable subordinator, for the stable driver in every d.  The
+coupled driver ('coupled', (alpha_1, ..., alpha_k)) moves k stable paths
+and one Brownian path on shared draws: it draws z and the k subordinators
+itself, all k from one Kanter draw, since its Brownian path needs z; its
+stable path j moves by sqrt(S_j) z and its Brownian path by sqrt(h) z,
+each exact in law, so one alpha's path is the same whichever other alpha
+run beside it (common random numbers across alpha).  Likewise a tuple of
+m horizons, each with its own EulerConfig and all with the same step
+count, moves on one unit draw per step scaled to each horizon's step, so
+each horizon's paths are those of its run alone (common random numbers
+across t).  The only discretization error is in the drift term, which
+keeps the alpha -> 2 comparison clean.  EulerConfig holds the step dt,
+which has no default, and the diffusion matrix sigma, nothing else.
+Paths are simulated in fixed-size blocks with per-block substreams, so
+results are bit-identical regardless of the worker count; campaigns pass
+their `workers` setting through.  Several start points given at once
+move on one set of increments per block (common random numbers), each
+exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -147,11 +150,9 @@ def probe_h2(drift: DriftField, points, fd_step: float = 1e-5, rng: RngStream | 
     return theta1_hat, theta2_hat
 
 
-def _check_run(driver, t: float):
-    """Validate one Euler run -> (kind, alpha): 'brownian' gives alpha 2.0,
+def _check_driver(driver):
+    """Validate a driver -> (kind, alpha): 'brownian' gives alpha 2.0,
     ('stable', alpha) a float and ('coupled', (alpha_1, ..., alpha_k)) a tuple."""
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
     if driver == "brownian":
         return "brownian", 2.0
     kind, alpha = driver if isinstance(driver, (tuple, list)) and len(driver) == 2 else (None, None)
@@ -170,10 +171,37 @@ def _check_run(driver, t: float):
     return kind, alphas if kind == "coupled" else alphas[0]
 
 
-def _increments(kind: str, alpha, h: float, n: int, d: int, rng: RngStream) -> np.ndarray:
-    """Exact-in-law driver increments over one step of size h, shape (paths, n, d)."""
+def _check_horizons(kind: str, t, cfg):
+    """Validate the horizons of an Euler run -> (ts, cfgs, steps).
+
+    t is one horizon with one EulerConfig, or a tuple of m horizons with m
+    configs that share sigma and take the same number of steps; ts and
+    cfgs are tuples either way.  The coupled driver takes one horizon.
+    """
+    if not isinstance(t, tuple):
+        ts, cfgs = (t,), (cfg,)
+    elif kind == "coupled":
+        raise ValueError("the coupled driver takes one horizon t, not a tuple")
+    elif not t or not isinstance(cfg, (tuple, list)) or len(cfg) != len(t):
+        raise ValueError(f"a tuple of horizons needs one EulerConfig per horizon, got t={t!r}")
+    else:
+        ts, cfgs = t, tuple(cfg)
+    for tk in ts:
+        if not tk > 0.0:
+            raise ValueError(f"t must be positive, got {tk}")
+    steps = {math.ceil(tk / c.dt - 1e-9) for tk, c in zip(ts, cfgs)}
+    if len(steps) > 1:
+        raise ValueError(f"horizons must take the same number of steps, got {sorted(steps)}")
+    if any(not np.array_equal(c.sigma, cfgs[0].sigma) for c in cfgs):
+        raise ValueError("horizons must share sigma")
+    return ts, cfgs, steps.pop()
+
+
+def _increments(kind: str, alpha, h, n: int, d: int, rng: RngStream) -> np.ndarray:
+    """Exact-in-law driver increments over one step of size h, or of the m sizes
+    of a tuple h, shape (paths, n, d)."""
     if kind != "coupled":  # alpha = 2 for Brownian motion
-        return sample_stable_vector(alpha, h, d, rng, n)[None]
+        return sample_stable_vector(alpha, h, d, rng, n).reshape(-1, n, d)
     # coupled: the Gaussians first, then one subordinator per alpha; z also drives the Brownian path
     z = rng.normal((n, d))
     s = sample_subordinator(alpha, h, rng, n)
@@ -183,7 +211,7 @@ def _increments(kind: str, alpha, h: float, n: int, d: int, rng: RngStream) -> n
     return dl
 
 
-def advance(state: np.ndarray, t: float, drift: DriftField, driver, cfg: EulerConfig, rng: RngStream) -> None:
+def advance(state: np.ndarray, t, drift: DriftField, driver, cfg, rng: RngStream) -> None:
     """Advance paths in place by time t with Euler-Maruyama.
 
     state is (..., n, d), or (k + 1, ..., n, d) for
@@ -194,24 +222,76 @@ def advance(state: np.ndarray, t: float, drift: DriftField, driver, cfg: EulerCo
     m start points stacked as (m, n, d) share their draws; drift.b sees the
     (-1, d) rows.  It takes ceil(t/dt - 1e-9) steps of cfg.dt, the last of
     them cut to what remains of t, so the horizon is t: a remainder of at
-    most 1e-9 of a step is round-off and takes no step of its own.  Raises
-    IntegrationError when a state becomes non-finite.
+    most 1e-9 of a step is round-off and takes no step of its own.
+
+    t may also be a tuple of m horizons, with cfg a tuple of m configs that
+    take the same number of steps; state is then (m, ..., n, d), row k
+    moving by its own step h_k = min(dt_k, remaining_k).  Each step draws
+    one unit increment and scales it to every h_k (h_k^{1/alpha} in law),
+    so row k equals, bit for bit, the run of (t_k, cfg_k) alone on the same
+    stream: common random numbers across t.  Raises IntegrationError when a
+    state becomes non-finite.
     """
-    kind, alpha = _check_run(driver, t)
-    paths = state if kind == "coupled" else state[None]
+    kind, alpha = _check_driver(driver)
+    ts, cfgs, steps = _check_horizons(kind, t, cfg)
+    horizons = isinstance(t, tuple)
+    paths = state if kind == "coupled" or horizons else state[None]
     n, d = state.shape[-2:]
     between = (1,) * (paths.ndim - 3)  # the start-point axes, which share each increment
-    remaining = t
-    for step in range(math.ceil(t / cfg.dt - 1e-9)):
-        h = min(cfg.dt, remaining)
-        dl = _increments(kind, alpha, h, n, d, rng)
-        if cfg.sigma is not None:
-            dl = dl @ cfg.sigma.T
+    sigma = cfgs[0].sigma
+    remaining = ts
+    for step in range(steps):
+        hs = tuple(min(c.dt, r) for c, r in zip(cfgs, remaining))
+        dl = _increments(kind, alpha, hs if horizons else hs[0], n, d, rng)
+        if sigma is not None:
+            dl = dl @ sigma.T
+        h = np.reshape(hs, (-1,) + between + (1, 1)) if horizons else hs[0]
         paths += drift.b(paths.reshape(-1, d)).reshape(paths.shape) * h
         paths += dl.reshape(dl.shape[:1] + between + (n, d))
         if not np.isfinite(state).all():
             raise IntegrationError(step)
-        remaining -= h
+        remaining = tuple(r - hk for r, hk in zip(remaining, hs))
+
+
+def _start_points(drift: DriftField, driver, x0, t, cfg) -> np.ndarray:
+    """The validated start state of a run, shape lead + (1, d), with the
+    rows of the coupled driver or of a tuple of horizons leading."""
+    kind, alpha = _check_driver(driver)
+    ts = _check_horizons(kind, t, cfg)[0]
+    start = np.atleast_1d(np.asarray(x0, dtype=float))
+    if isinstance(t, tuple):
+        if start.ndim == 1:  # one start point for every horizon
+            start = np.broadcast_to(start, (len(ts),) + start.shape)
+        if start.ndim > 3 or start.shape[0] != len(ts):
+            raise ValueError(
+                f"x must have shape (d,), (m, d) or (m, p, d) for m = {len(ts)} horizons, got {start.shape}"
+            )
+    elif start.ndim > 2:
+        raise ValueError(f"x0 must have shape (d,) or (m, d), got {start.shape}")
+    start = np.broadcast_to(start, start.shape[:-1] + (drift.d,))[..., None, :]
+    if kind == "coupled":
+        start = np.broadcast_to(start, (len(alpha) + 1,) + start.shape)
+    return start
+
+
+def _run_blocks(drift, cfg, driver, start, t, n, rng, workers, take) -> list:
+    """[take(i, endpoints of block i)] for the fixed BLOCK_SIZE blocks of n
+    paths from start, block i drawing from rng.substream(i); in block order
+    whatever the worker count."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
+
+    def job(i):
+        size = min(BLOCK_SIZE, n - i * BLOCK_SIZE)
+        state = np.broadcast_to(start, start.shape[:-2] + (size, drift.d)).copy()
+        advance(state, t, drift, driver, cfg, rng.substream(i))
+        return take(i, state)
+
+    if workers > 1 and n_blocks > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(job, range(n_blocks)))  # list() re-raises a block's exception
+    return [job(i) for i in range(n_blocks)]
 
 
 def run_ensemble(
@@ -224,7 +304,7 @@ def run_ensemble(
     rng: RngStream,
     workers: int = 1,
 ) -> np.ndarray:
-    """The endpoints of n independent paths; independent of the worker count.
+    """The endpoints of n independent paths at one horizon t; independent of the worker count.
 
     x0 is one start point, shape (d,), or m of them, shape (m, d); the
     endpoints are (n, d) or (m, n, d), with a leading axis of k + 1 (the
@@ -237,46 +317,47 @@ def run_ensemble(
     blocks, block i drawing from rng.substream(i) and writing its slice of
     the one output array.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    kind, alpha = _check_run(driver, t)
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    sizes = [min(BLOCK_SIZE, n - i * BLOCK_SIZE) for i in range(n_blocks)]
-    start = np.atleast_1d(np.asarray(x0, dtype=float))
-    if start.ndim > 2:
-        raise ValueError(f"x0 must have shape (d,) or (m, d), got {start.shape}")
-    start = np.broadcast_to(start, start.shape[:-1] + (drift.d,))[..., None, :]
-    lead = ((len(alpha) + 1,) if kind == "coupled" else ()) + start.shape[:-2]
-    ends = np.empty(lead + (n, drift.d))
+    start = _start_points(drift, driver, x0, t, cfg)
+    ends = np.empty(start.shape[:-2] + (n, drift.d))
 
-    def job(i):
-        state = np.broadcast_to(start, lead + (sizes[i], drift.d)).copy()
-        advance(state, t, drift, driver, cfg, rng.substream(i))
-        ends[..., i * BLOCK_SIZE : i * BLOCK_SIZE + sizes[i], :] = state
+    def store(i, state):
+        ends[..., i * BLOCK_SIZE : i * BLOCK_SIZE + state.shape[-2], :] = state
 
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(job, range(n_blocks)))  # list() re-raises a block's exception
-    else:
-        for i in range(n_blocks):
-            job(i)
+    _run_blocks(drift, cfg, driver, start, t, n, rng, workers, store)
     return ends
 
 
-def mc_semigroup(h, drift, driver, x, t, n, rng, cfg: EulerConfig, workers: int = 1):
+def mc_semigroup(h, drift, driver, x, t, n, rng, cfg, workers: int = 1):
     """Monte Carlo estimate of P_t h(x) (or Q_t h(x)) with its std error.
 
     x is one start point, shape (d,), giving floats (est, se), or m start
     points, shape (m, d), giving length-m arrays on common random numbers
-    (see run_ensemble).  h gets the endpoints with the d axis dropped when
-    d = 1, so it must be vectorized over the leading axes.
+    (see run_ensemble).  t may also be a tuple of horizons with cfg a tuple
+    of EulerConfigs, one per horizon (see advance); then x is (d,), one
+    start point for every horizon, or horizon-indexed, (m, d) or (m, p, d),
+    and est and se lead with the horizon axis.  Row k equals, bit for bit,
+    the call at (t_k, cfg_k, x[k]) alone on the same stream.  h gets the
+    endpoints with the d axis dropped when d = 1, so it must be vectorized
+    over the leading axes.  Each block is reduced to its sum of h and its
+    sum of squared deviations as soon as it is done, and the blocks are
+    combined in block order: est is the sum over n, which for an indicator
+    h is exact and equals the mean of the endpoints' h values.
     """
     if isinstance(driver, (tuple, list)) and driver[0] == "coupled":
         raise ValueError("mc_semigroup needs a single driver, not a coupled one")
-    ends = run_ensemble(drift, cfg, driver, x, t, n, rng, workers=workers)
-    vals = np.asarray(h(ends[..., 0] if drift.d == 1 else ends), dtype=float)
-    est = np.mean(vals, axis=-1)
-    se = np.std(vals, axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.full(est.shape, np.inf)
-    if ends.ndim == 2:
+    start = _start_points(drift, driver, x, t, cfg)
+
+    def sums(i, state):
+        vals = np.asarray(h(state[..., 0] if drift.d == 1 else state), dtype=float)
+        total = vals.sum(axis=-1)
+        dev = vals - (total / vals.shape[-1])[..., None]
+        return vals.shape[-1], total, np.sum(dev * dev, axis=-1)
+
+    parts = _run_blocks(drift, cfg, driver, start, t, n, rng, workers, sums)
+    est = sum(total for _, total, _ in parts) / n
+    # within-block plus between-block squared deviations (Chan et al.)
+    m2 = sum(sq + size * (total / size - est) ** 2 for size, total, sq in parts)
+    se = np.sqrt(m2 / (n - 1)) / np.sqrt(n) if n > 1 else np.full(np.shape(est), np.inf)
+    if np.ndim(est) == 0:
         return float(est), float(se)
     return est, se

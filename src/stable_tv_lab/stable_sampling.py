@@ -13,7 +13,10 @@ exponent.  The one-sided draw is computed in log space, scale included,
 from the half-angle tangents of its uniform angle, so it stays finite and
 positive up to alpha -> 2.  Given several alpha at once, the subordinator
 draws its uniform angle and exponential once and transforms them for each
-alpha, as the coupled Euler driver of several alpha needs.  The scale
+alpha, as the coupled Euler driver of several alpha needs.  Given several
+times at once, both samplers transform one unit draw and scale it to
+each time (the scale is t^{2/alpha} for S_t, sqrt(t) for Brownian
+motion), as the Euler stepper of several horizons needs.  The scale
 algebra is the dominant failure mode, so it is pinned by CF and
 Laplace-transform acceptance tests, never trusted.
 """
@@ -99,13 +102,26 @@ def _log_unit_pos_stable(rhos, rng: RngStream, size: int) -> np.ndarray:
     return log_s
 
 
-def sample_subordinator(alpha, t: float, rng: RngStream, size: int) -> np.ndarray:
+def _times(t) -> tuple:
+    """t as a tuple of times, one or several, each checked positive."""
+    ts = t if isinstance(t, tuple) else (t,)
+    if not ts:
+        raise ValueError("need at least one t")
+    for tk in ts:
+        if not tk > 0.0:
+            raise ValueError(f"t must be positive, got {tk}")
+    return ts
+
+
+def sample_subordinator(alpha, t, rng: RngStream, size: int) -> np.ndarray:
     """size draws of S_t, alpha in (0, 2), with Laplace transform exp(-t (2r)^{alpha/2} / 2).
 
     alpha is one value, giving shape (size,), or a tuple of k values,
-    giving (k, size): row j is S_t for alpha[j], and all rows come from one
-    Kanter draw (theta, w), so row j equals, bit for bit, the draw for
-    alpha[j] alone on the same stream (common random numbers).
+    giving (k, size): row j is S_t for alpha[j].  Likewise t is one time or
+    a tuple of m times, giving (m, size): row k is S_{t_k}.  All rows come
+    from one Kanter draw (theta, w), so each row equals, bit for bit, the
+    draw for its alpha or t alone on the same stream (common random
+    numbers).  A tuple of both is refused.
 
     E exp(-r c S) = exp(-(cr)^rho) for a unit Kanter draw S, so the scale
     c must satisfy c^rho = t 2^{rho - 1} with rho = alpha/2, i.e.
@@ -117,31 +133,39 @@ def sample_subordinator(alpha, t: float, rng: RngStream, size: int) -> np.ndarra
     for a in alphas:
         if not 0.0 < a < 2.0:
             raise ValueError(f"alpha must be in (0, 2), got {a}")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    ts = _times(t)
+    if len(alphas) > 1 and len(ts) > 1:
+        raise ValueError("give a tuple of alpha or a tuple of t, not both")
     log_s = _log_unit_pos_stable([a / 2.0 for a in alphas], rng, size)
-    for a, row in zip(alphas, log_s):
-        row += (2.0 / a) * math.log(t) + (1.0 - 2.0 / a) * math.log(2.0)
-    s = np.exp(log_s, out=log_s)
-    return s if isinstance(alpha, tuple) else s[0]
+    rows = units = log_s  # each alpha shifts its own row in place
+    if len(ts) > 1:  # several t shift the one unit row into m new rows
+        rows, units = np.empty((len(ts), size)), [log_s[0]] * len(ts)
+    log_c = [(2.0 / a) * math.log(tk) + (1.0 - 2.0 / a) * math.log(2.0) for a in alphas for tk in ts]
+    for unit, row, c in zip(units, rows, log_c):
+        np.add(unit, c, out=row)
+    s = np.exp(rows, out=rows)
+    return s if isinstance(alpha, tuple) or isinstance(t, tuple) else s[0]
 
 
-def sample_stable_vector(alpha: float, t: float, d: int, rng: RngStream, n: int) -> np.ndarray:
+def sample_stable_vector(alpha: float, t, d: int, rng: RngStream, n: int) -> np.ndarray:
     """n rotationally symmetric stable vectors with CF exp(-t |xi|^alpha / 2), shape (n, d).
 
     Draws S ~ subordinator, then z ~ N(0, I_d), and returns sqrt(S) z; the
-    Brownian case alpha = 2 returns sqrt(t) z with no subordinator.
+    Brownian case alpha = 2 returns sqrt(t) z with no subordinator.  A
+    tuple of m times gives (m, n, d): row k is the draw at t_k, from one S
+    draw and one z, and equals, bit for bit, the single-t call on the same
+    stream, as the Euler stepper of several horizons needs.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    ts = _times(t)
     if alpha == 2.0:
-        return np.sqrt(t) * rng.normal((n, d))
+        scale = np.sqrt(np.array(ts))[:, None, None] if isinstance(t, tuple) else math.sqrt(t)
+        return scale * rng.normal((n, d))
     s = sample_subordinator(alpha, t, rng, n)
-    return np.sqrt(s)[:, None] * rng.normal((n, d))
+    return np.sqrt(s)[..., None] * rng.normal((n, d))
 
 
 def empirical_char_fn(samples: np.ndarray, xi) -> complex:

@@ -204,3 +204,23 @@ def test_coupled_pairs_are_read_only_rows_of_one_ensemble():
             campaigns.coupled_ergodic_pair(1.8, alphas, 0.1, 0.05, 100, rng)
     finally:
         campaigns._coupled_ensemble.cache_clear()
+
+
+def test_gradient_probe_runs_one_ensemble_per_driver(monkeypatch):
+    calls = []
+    mc = campaigns.mc_semigroup
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return mc(*args, **kwargs)
+
+    monkeypatch.setattr(campaigns, "mc_semigroup", counted)
+    report = run_campaign(ExperimentConfig("gradient-probe", seed=0, params={"n": 2 * BLOCK_SIZE + 5}))
+    # Brownian, stable at alpha = 1.5 and the smooth h; one per (driver, t) made 21
+    assert len(calls) == 3
+    assert all(isinstance(t, tuple) and len(t) == DEFAULT_PARAMS["gradient-probe"]["t_nodes"] for t in calls)
+    # frozen from one ensemble per (driver, t): stream k = 0 of each driver is the
+    # stream of its whole ensemble now, so the t = 1e-3 rows must stay as they were
+    rows = {(r[0], r[2]): r[3] for r in report.data["gradient_probe"][1:]}
+    assert rows[("brownian", 1e-3)] == 12.584298801353242
+    assert rows[("stable", 1e-3)] == 45.72404538245699

@@ -12,7 +12,6 @@ import pytest
 
 from stable_tv_lab import (
     GridFunction,
-    RngStream,
     a_const,
     drift_registry,
     frac_laplacian_1d,
@@ -20,7 +19,6 @@ from stable_tv_lab import (
     generator_q,
     lin_norm_diff,
     poisson_solution_grid,
-    poisson_solution_mc,
 )
 from stable_tv_lab.pde import _half_angle_cos
 
@@ -198,23 +196,9 @@ def test_generator_residual_at_every_grid_point():
     assert max(abs(generator_p(fa, OU, 1.9, x) - (math.cos(x) - mua)) for x in xs) < 1e-2
 
 
-def test_poisson_mc_engine_agrees_with_closed_form():
-    alpha, x = 1.8, 0.5
-    mu = math.exp(-1.0 / (2.0 * alpha))
-    mc = poisson_solution_mc(
-        np.cos, mu, OU, alpha, x, t_max=12.0, quad_steps=60, n_paths=60_000, rng=RngStream(5, 0), dt=0.01
-    )
-    exact = poisson_solution_grid(alpha, SMALL_GRID)(x)
-    assert mc == pytest.approx(exact, abs=0.02)
-
-
 def test_poisson_engine_validation():
     with pytest.raises(ValueError):
         poisson_solution_grid(1.0, SMALL_GRID)
-    with pytest.raises(ValueError):
-        poisson_solution_mc(
-            np.cos, 0.5, OU, 1.0, 0.0, t_max=1.0, quad_steps=2, n_paths=10, rng=RngStream(0, 0), dt=0.1
-        )
 
 
 def test_lin_norm_diff_requires_matching_grids():

@@ -26,9 +26,11 @@ def test_distinct_streams_differ():
 
 def test_substreams_do_not_collide_across_parents():
     # roots: the campaigns' stream indices at their defaults (0-199 for the
-    # sampler checks and gradient-probe's 100 j + k, 1000-1009 around
-    # tv-theorem's 1000, 9000 + int(1e6 t) for gradient-probe); children:
-    # the blocks of n <= 128 * BLOCK_SIZE, which covers tv-theorem's n = 400 000
+    # sampler checks and gradient-probe's one stream per driver, 0 and 100 j,
+    # 1000-1009 around tv-theorem's 1000, and gradient-probe's smooth-h
+    # stream 9000 + int(1e6 t_min), checked here with the other 9000 + int(1e6 t)
+    # as a superset); children: the blocks of n <= 128 * BLOCK_SIZE, which
+    # covers tv-theorem's n = 400 000
     p = DEFAULT_PARAMS["gradient-probe"]
     ts = np.geomspace(*p["t_grid"], p["t_nodes"])
     roots = set(range(200)) | set(range(1000, 1010)) | {9000 + int(1e6 * t) for t in ts}

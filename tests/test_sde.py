@@ -146,6 +146,71 @@ def test_stepper_draws_from_the_one_stable_sampler(driver, alpha, d):
     np.testing.assert_array_equal(ends, want)
 
 
+HORIZONS = (1e-3, 0.02, 0.1)
+
+
+def _by_horizon(ts, steps):
+    return tuple(EulerConfig(dt=t / steps) for t in ts)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("driver", ["brownian", ("stable", 1.5)], ids=["brownian", "stable"])
+def test_horizon_rows_match_single_horizon_runs(driver, d):
+    # one ensemble for three horizons of 5 steps each, two start points per horizon
+    x = np.array([[[0.1 * k] * d, [-0.2] * d] for k in range(len(HORIZONS))])
+    h = np.cos if d == 1 else (lambda y: np.cos(y[..., 0] + 0.5 * y[..., 1]))
+    args = (h, drift_registry("ou", d=d), driver)
+    n, rng = 2 * BLOCK_SIZE + 5, RngStream(25, 0)
+    est, se = mc_semigroup(*args, x, HORIZONS, n, rng, cfg=_by_horizon(HORIZONS, 5))
+    assert est.shape == se.shape == (3, 2)
+    for k, t in enumerate(HORIZONS):
+        one_est, one_se = mc_semigroup(*args, x[k], t, n, rng, cfg=EulerConfig(dt=t / 5))
+        np.testing.assert_array_equal(est[k], one_est)
+        np.testing.assert_array_equal(se[k], one_se)
+
+
+def test_horizon_form_ignores_the_worker_count():
+    indicator = lambda y: (y <= 0.0).astype(float)
+    args = (indicator, drift_registry("ou"), ("stable", 1.5), [[[0.05], [-0.05]]] * 3)
+    kwargs = dict(t=HORIZONS, n=3 * BLOCK_SIZE + 17, rng=RngStream(26, 0), cfg=_by_horizon(HORIZONS, 4))
+    runs = [mc_semigroup(*args, workers=w, **kwargs) for w in (1, 2, 3)]
+    assert runs[0][0].shape == (3, 2)
+    for est, se in runs[1:]:
+        np.testing.assert_array_equal(est, runs[0][0])
+        np.testing.assert_array_equal(se, runs[0][1])
+
+
+def test_block_sums_match_the_endpoints():
+    # mc_semigroup reduces each block to sums; on the same stream run_ensemble keeps the endpoints
+    ou, cfg, driver = drift_registry("ou"), EulerConfig(dt=0.1), ("stable", 1.5)
+    x, t, n, rng = [[0.2], [-0.1]], 0.5, 3 * BLOCK_SIZE + 17, RngStream(27, 0)
+    ends = run_ensemble(ou, cfg, driver, x, t, n, rng)[..., 0]
+    for h in (np.cos, lambda y: (y <= 0.0).astype(float)):
+        est, se = mc_semigroup(h, ou, driver, x, t, n, rng, cfg=cfg)
+        vals = h(ends)
+        np.testing.assert_allclose(est, vals.mean(axis=-1), rtol=1e-13)
+        np.testing.assert_allclose(se, vals.std(axis=-1, ddof=1) / np.sqrt(n), rtol=1e-10)
+    np.testing.assert_array_equal(est, vals.mean(axis=-1))  # the indicator's sums are exact
+
+
+def test_horizon_form_validation():
+    ou, rng = drift_registry("ou"), RngStream(0, 0)
+    for driver, t, cfg, x in [
+        ("brownian", (0.1, 0.2), (EulerConfig(dt=0.1), EulerConfig(dt=0.1)), [0.0]),  # 1 and 2 steps
+        ("brownian", (0.1, 0.2), _by_horizon((0.1, 0.2, 0.3), 2), [0.0]),  # lengths differ
+        ("brownian", (0.1, 0.2), EulerConfig(dt=0.1), [0.0]),  # one config for two horizons
+        ("brownian", (), (), [0.0]),
+        ("brownian", (0.1, 0.0), (EulerConfig(dt=0.1), EulerConfig(dt=0.1)), [0.0]),
+        (("stable", 1.5), (0.1, -0.2), (EulerConfig(dt=0.1), EulerConfig(dt=0.1)), [0.0]),
+        ("brownian", (0.1, 0.2), _by_horizon((0.1, 0.2), 2), [[0.0], [1.0], [2.0]]),  # 3 rows of x
+        ("brownian", (0.1, 0.2), (EulerConfig(dt=0.05), EulerConfig(dt=0.1, sigma=[[2.0]])), [0.0]),
+    ]:
+        with pytest.raises(ValueError):
+            mc_semigroup(np.cos, ou, driver, x, t, 16, rng, cfg=cfg)
+    with pytest.raises(ValueError):  # the coupled driver takes one horizon
+        run_ensemble(ou, _by_horizon((0.1, 0.2), 2), ("coupled", (1.5,)), [0.0], (0.1, 0.2), 16, rng)
+
+
 def test_start_points_must_broadcast_to_d_or_m_by_d():
     ou2 = drift_registry("ou", d=2)
     for drift, x0 in [

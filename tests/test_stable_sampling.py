@@ -37,6 +37,14 @@ def test_spec_validation():
     for alphas in [(), (1.5, 2.0)]:  # several alpha: none, or one out of range
         with pytest.raises(ValueError):
             sample_subordinator(alphas, 1.0, rng, 10)
+    # several t: none, one not positive, or a tuple of alpha beside them
+    for alpha, ts in [(1.5, ()), (1.5, (0.1, 0.0)), (1.5, (0.1, float("nan"))), ((1.2, 1.5), (0.1, 0.2))]:
+        with pytest.raises(ValueError):
+            sample_subordinator(alpha, ts, rng, 10)
+    for alpha in (1.5, 2.0):
+        for ts in [(), (0.1, -1.0)]:
+            with pytest.raises(ValueError):
+                sample_stable_vector(alpha, ts, 1, rng, 10)
 
 
 def test_alpha_two_is_gaussian_with_variance_t():
@@ -77,6 +85,21 @@ def test_subordinators_of_several_alpha_share_one_kanter_draw():
     assert many.shape == (3, 1000)
     for alpha, row in zip(alphas, many):
         np.testing.assert_array_equal(row, sample_subordinator(alpha, 0.3, RngStream(7, 4), 1000))
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_samplers_of_several_t_scale_one_draw(alpha):
+    # row k of the tuple form is, bit for bit, the draw at t_k alone on the same stream
+    ts = (1e-3, 0.3, 2.0)
+    many = sample_stable_vector(alpha, ts, 2, RngStream(7, 5), 1000)
+    assert many.shape == (3, 1000, 2)
+    for t, row in zip(ts, many):
+        np.testing.assert_array_equal(row, sample_stable_vector(alpha, t, 2, RngStream(7, 5), 1000))
+    if alpha < 2.0:
+        subs = sample_subordinator(alpha, ts, RngStream(7, 6), 1000)
+        assert subs.shape == (3, 1000)
+        for t, row in zip(ts, subs):
+            np.testing.assert_array_equal(row, sample_subordinator(alpha, t, RngStream(7, 6), 1000))
 
 
 @pytest.mark.parametrize("alpha", [1.98, 1.99, 1.999])
