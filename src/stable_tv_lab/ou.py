@@ -13,7 +13,9 @@ fixed grid, GRID_CELLS cells on [-GRID_HALF_WIDTH, GRID_HALF_WIDTH], and
 are recovered at the spline knots by one real FFT of the CF, with the
 periodic images of the stable tail subtracted in closed form and the error
 bounded a priori; the exact TV between mu_alpha and mu_2 comes from the
-grid densities.
+grid densities.  The spline through the knots is the numpy not-a-knot
+spline of _numerics, and the Hurwitz zeta is scipy.special's, the only
+part of scipy the lab imports.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import math
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import CubicSpline
 
+from stable_tv_lab._numerics import CubicSpline
 from stable_tv_lab.constants import a_const
 from stable_tv_lab.distances import GridDensity, tv_from_densities
 

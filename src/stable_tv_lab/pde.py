@@ -9,20 +9,20 @@ Poisson solutions follow the probabilistic representation
 f(x) = int_0^inf [mu(h) - P_t h(x)] dt.  poisson_solution_grid solves the
 one problem with a closed form, the OU drift with h = cos, on a whole grid
 in one vectorized integral (cosines from tan, _half_angle_cos).
+
+The splines and the adaptive Gauss-Kronrod quadrature are the numpy
+kernels of _numerics; of scipy the lab uses only scipy.special.  Every
+integrand here takes an array of nodes, so a quadrature pass is one call.
 """
 
 from __future__ import annotations
 
-import math
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
-from scipy.interpolate import CubicSpline
 
+from stable_tv_lab._numerics import CubicSpline, quad
 from stable_tv_lab.constants import a_const
 from stable_tv_lab.ou import transition_cf
 from stable_tv_lab.sde import DriftField
@@ -38,9 +38,11 @@ class GridFunction:
       ("callable", fn)   exact analytic extension (used for test functions
                          like cos, whose off-grid values are known)
     The extension must be explicit because the fractional Laplacian is
-    nonlocal and always sees off-grid values.  deriv1 and deriv2 take grid
-    points at least two cells inside the grid and raise ValueError for any
-    other x.
+    nonlocal and always sees off-grid values.  On the grid, f is the
+    not-a-knot cubic spline of the values (_numerics.CubicSpline).  f(x)
+    takes a float, giving a float, or an array; there is one path for both.
+    deriv1 and deriv2 take grid points at least two cells inside the grid
+    and raise ValueError for any other x.
     """
 
     grid: np.ndarray
@@ -61,13 +63,7 @@ class GridFunction:
             raise ValueError("grid must be uniform")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        spline = CubicSpline(grid, values)
-        object.__setattr__(self, "_spline", spline)
-        # for the scalar path: knots as a list for bisect, and the spline
-        # coefficients flat, 4 per interval, in an array (8 bytes each, not
-        # the ~50 of a list of Python floats)
-        object.__setattr__(self, "_knots", grid.tolist())
-        object.__setattr__(self, "_coefs", array("d", spline.c.T.ravel()))
+        object.__setattr__(self, "_spline", CubicSpline(grid, values))
         object.__setattr__(self, "_side_models", self._fit_sides(grid, values))
 
     def _fit_sides(self, grid, values):
@@ -98,44 +94,17 @@ class GridFunction:
         return self._side_models[side]
 
     def __call__(self, x):
-        if isinstance(x, float):
-            return self._at(x)
         x = np.asarray(x, dtype=float)
+        lo, hi = self.grid[0], self.grid[-1]
+        out = self._spline(np.clip(x, lo, hi))
         if self.extension[0] == "callable":
-            inside = (x >= self.grid[0]) & (x <= self.grid[-1])
-            out = np.where(inside, self._spline(np.clip(x, self.grid[0], self.grid[-1])), 0.0)
-            if not np.all(inside):
-                out = np.where(inside, out, self.extension[1](x))
-            return out if out.ndim else float(out)
-        al, bl = self._side_models[0]
-        ar, br = self._side_models[1]
-        out = np.where(
-            x < self.grid[0],
-            al + bl * x,
-            np.where(
-                x > self.grid[-1],
-                ar + br * x,
-                self._spline(np.clip(x, self.grid[0], self.grid[-1])),
-            ),
-        )
+            outside = (x < lo) | (x > hi)
+            if outside.any():
+                out = np.where(outside, self.extension[1](x), out)
+        else:
+            (al, bl), (ar, br) = self._side_models
+            out = np.where(x < lo, al + bl * x, np.where(x > hi, ar + br * x, out))
         return out if out.ndim else float(out)
-
-    def _at(self, x: float) -> float:
-        """One point, bit for bit as the array path, without its numpy overhead.
-
-        The quadratures call f one scalar at a time.  On the grid this is
-        the spline's own interval choice (x[i] <= x < x[i+1], the last
-        knot in the last interval) and its power sum in scipy's order.
-        """
-        knots = self._knots
-        if knots[0] <= x <= knots[-1]:
-            i = min(bisect_right(knots, x), len(knots) - 1) - 1
-            c, j, s = self._coefs, 4 * i, x - knots[i]
-            return 0.0 + c[j + 3] + c[j + 2] * s + c[j + 1] * (s * s) + c[j] * (s * s * s)
-        if self.extension[0] == "callable":
-            return float(self.extension[1](x))
-        a, b = self._side_models[1 if x > knots[-1] else 0]
-        return float(a + b * x)
 
     def _index_of(self, x: float, pad: int) -> int:
         i = int(round((x - self.grid[0]) / self.h))
@@ -171,9 +140,14 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
       [z0, inf)    analytic integral of the linear extension model
     with delta = 2 grid cells.  A callable extension instead takes [1, inf)
     in panels growing by 4x, those past z0 calling the extension directly,
-    until a bound on the remaining mass falls below 1e-10.  Either way the
-    call raises RuntimeError when the summed error estimates of its quad
-    calls exceed 1e-6.
+    until a bound on the remaining mass falls below 1e-10.  Each piece is
+    one call of _numerics.quad, the vectorized 21-point Gauss-Kronrod rule,
+    with subdivision limits of 200 on [delta, 1), 400 on [1, z0) and 4000
+    per callable panel: far panels hold thousands of periods of an
+    oscillating extension, which bisection without extrapolation must
+    resolve to meet the error bound.  Either way the call raises
+    RuntimeError when the summed error estimates of its quad calls exceed
+    1e-6.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must be in (1, 2), got {alpha}")
@@ -185,14 +159,16 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
     if delta >= 1.0:
         raise ValueError(f"grid step {f.h} too coarse: two cells must span less than 1")
     fx = float(f(x))
-    g = lambda z: f(x + z) + f(x - z) - 2.0 * fx
-    kernel = lambda z: g(z) * A * z ** (-1.0 - alpha)
+
+    def kernel(z):
+        both = f(np.concatenate([x + z, x - z]))
+        return (both[: z.size] + both[z.size :] - 2.0 * fx) * A * z ** (-1.0 - alpha)
 
     # singular closure
-    f2 = float(f._spline(x, 2))
+    f2 = float(f._spline.second_derivative(x))
     inner = f2 * A * delta ** (2.0 - alpha) / (2.0 - alpha)
 
-    mid, err = quad(kernel, delta, 1.0, limit=200, full_output=1)[:2]
+    mid, err = quad(kernel, delta, 1.0, limit=200)
 
     # z0: beyond it both x+z and x-z are off the grid
     z0 = max(grid[-1] - x, x - grid[0])
@@ -206,7 +182,7 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
         z_lo = 1.0
         while True:
             z_hi = z_lo * 4.0
-            part, part_err = quad(off_grid if z_lo >= z0 else kernel, z_lo, z_hi, limit=400, full_output=1)[:2]
+            part, part_err = quad(off_grid if z_lo >= z0 else kernel, z_lo, z_hi, limit=4000)
             far += part
             err += part_err
             # worst-case remaining mass, |g| <= 4 max|f| on the panel scale
@@ -216,7 +192,7 @@ def frac_laplacian_1d(f: GridFunction, alpha: float, x: float) -> float:
                 break
         total = inner + mid + far
     else:
-        far_grid, far_err = quad(kernel, 1.0, z0, limit=400, full_output=1)[:2] if z0 > 1.0 else (0.0, 0.0)
+        far_grid, far_err = quad(kernel, 1.0, z0, limit=400) if z0 > 1.0 else (0.0, 0.0)
         err += far_err
         al, bl = f.side_model(0)
         ar, br = f.side_model(1)
@@ -242,14 +218,16 @@ def generator_p(f: GridFunction, drift: DriftField, alpha: float, x: float) -> f
     return bx * f.deriv1(x) + frac_laplacian_1d(f, alpha, x)
 
 
-def _half_angle_cos(theta: np.ndarray) -> np.ndarray:
-    """cos(theta) as (1 - t^2) / (1 + t^2) with t = tan(theta / 2); theta is not modified.
+def _half_angle_cos(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """cos(theta) as (1 - t^2) / (1 + t^2) with t = tan(theta / 2).
 
     numpy's AVX-512 builds vectorize float64 tan, not cos, so this is the
     cheaper cosine for the Poisson grid; it is within ~2e-16 of np.cos
     and exactly -1 at odd multiples of pi, where t is huge but finite.
+    theta is not modified unless it is given as out, the scratch array for
+    t; the result is one new array.
     """
-    t = np.multiply(theta, 0.5)
+    t = np.multiply(theta, 0.5, out=out)
     np.tan(t, out=t)
     t *= t
     num = 1.0 - t
@@ -271,12 +249,18 @@ def poisson_solution_grid(alpha: float, grid) -> GridFunction:
     """
     xs = np.asarray(grid, dtype=float)
     mu = transition_cf(alpha, 1.0).real
-    integrand = lambda u: (_half_angle_cos(u * xs) * math.exp(-(1.0 - u ** alpha) / (2.0 * alpha)) - mu) / u
-    val, _, info = quad_vec(
-        integrand, 0.0, 1.0, epsabs=1e-10, epsrel=0.0, norm="max", limit=200, full_output=True
-    )
-    if info.status != 0:
-        raise RuntimeError(f"Poisson integral did not converge: {info.message}")
+
+    def integrand(u):
+        # (nodes, grid) arrays are large, so their scratch space is reused in place
+        theta = np.multiply.outer(u, xs)
+        out = _half_angle_cos(theta, out=theta)
+        out *= (np.exp(-(1.0 - u ** alpha) / (2.0 * alpha)) / u)[:, None]
+        out -= (mu / u)[:, None]
+        return out
+
+    val, err = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=0.0, limit=200)
+    if not err <= 1e-10:
+        raise RuntimeError(f"Poisson integral did not converge: error estimate {err:.2e}")
     return GridFunction(grid=xs, values=-val)
 
 

@@ -39,7 +39,7 @@ def _nonzero(draw, x):
     return x
 
 
-def _log_kanter(rho: float, theta: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _log_kanter(rho, theta: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log S for the Kanter draw S = (A(theta) / w)^a, a = (1 - rho) / rho, with
     A = sin((1 - rho) theta) sin(rho theta)^(rho / (1 - rho)) / sin(theta)^(1 / (1 - rho)).
 
@@ -55,7 +55,10 @@ def _log_kanter(rho: float, theta: np.ndarray, w: np.ndarray, out: np.ndarray | 
     every coefficient stays bounded as rho -> 1, so nothing under- or
     overflows where the powers of A would; there t1 - t2 loses about
     eps / (1 - rho) relative, which the factor a ~ 1 - rho takes back.
-    theta and w are left as they are; log S goes to out when it is given.
+    rho is one value, or a (k, 1) column of k values for one row each:
+    t1 and 1 + t1^2 are then computed once for all rows, and each row
+    equals, bit for bit, the call with its rho alone.  theta and w are
+    left as they are; log S goes to out when it is given.
     """
     t1 = np.tan(0.5 * theta)
     t2 = np.tan((0.5 * rho) * theta)
@@ -70,9 +73,9 @@ def _log_kanter(rho: float, theta: np.ndarray, w: np.ndarray, out: np.ndarray | 
     num /= w
     log_s = np.log(num, out=num)
     log_s *= (1.0 - rho) / rho
-    ratio = np.multiply(t1, t1, out=cross)
-    ratio += 1.0
-    ratio *= t2
+    t1 *= t1
+    t1 += 1.0
+    ratio = np.multiply(t1, t2, out=cross)
     ratio /= den
     log_s += np.log(ratio, out=ratio)
     return log_s
@@ -82,23 +85,21 @@ def _log_unit_pos_stable(rhos, rng: RngStream, size: int) -> np.ndarray:
     """log of size Kanter/Zolotarev draws for each rho in rhos, shape (len(rhos), size).
 
     Row j has Laplace transform exp(-r^rho_j), rho_j in (0, 1), and every
-    row comes from one draw of (theta, w).  theta = 0 gives a NaN and
-    w = 0 an infinite log, whatever rho.  Both are null events (probability
-    ~2^-53 each), so when a log is not finite the exact zeros of theta and
-    w are redrawn from the same stream and the kernel applied again:
-    rejection, which leaves the law unchanged.  The check is one max per
-    array.
+    row comes from one draw of (theta, w), transformed for all rows in one
+    call of the kernel.  theta = 0 gives a NaN and w = 0 an infinite log,
+    whatever rho.  Both are null events (probability ~2^-53 each), so when
+    a log is not finite the exact zeros of theta and w are redrawn from the
+    same stream and the kernel applied again: rejection, which leaves the
+    law unchanged.  The check is one max per array.
     """
     theta = rng.uniform(0.0, np.pi, size)
     w = rng.exponential(size)
-    log_s = np.empty((len(rhos), size))
-    for rho, row in zip(rhos, log_s):
-        _log_kanter(rho, theta, w, out=row)
+    rho = np.array(rhos, dtype=float)[:, None]
+    log_s = _log_kanter(rho, theta, w, out=np.empty((len(rhos), size)))
     if log_s.size and not math.isfinite(log_s.max()):
         theta = _nonzero(lambda k: rng.uniform(0.0, np.pi, k), theta)
         w = _nonzero(rng.exponential, w)
-        for rho, row in zip(rhos, log_s):
-            _log_kanter(rho, theta, w, out=row)
+        _log_kanter(rho, theta, w, out=log_s)
     return log_s
 
 

@@ -70,20 +70,6 @@ def test_linear_extension_reproduces_affine_functions():
     assert f(-10.0) == pytest.approx(8.0)
 
 
-def test_scalar_calls_match_the_array_path():
-    # the quadrature kernels call f one float at a time, through a path of
-    # its own; it must return exactly the bits of the array path
-    rng = np.random.default_rng(0)
-    grid = np.arange(-4.0, 4.0 + 0.0025, 0.005)
-    xs = np.concatenate([rng.uniform(-6.0, 6.0, 2000), grid, [-4.0 - 1e-12, 4.0 + 1e-12]])
-    for f in (
-        GridFunction.from_callable(lambda y: np.cos(2.0 * y), grid),
-        GridFunction(grid, np.sin(grid) + 0.3 * grid),
-    ):
-        scalars = np.array([f(float(x)) for x in xs])
-        assert np.array_equal(scalars.view(np.int64), f(xs).view(np.int64))
-
-
 def test_callable_extension_has_no_side_model():
     f = _cos_grid()
     assert f(100.0) == pytest.approx(math.cos(100.0))

@@ -140,6 +140,29 @@ def test_log_kanter_matches_the_power_form(alpha):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+def _log_kanter_one_rho(rho, theta, w):
+    """The kernel for one rho, in the operation order of the batched kernel's rows."""
+    t1 = np.tan(0.5 * theta)
+    t2 = np.tan((0.5 * rho) * theta)
+    den = (t2 * t2 + 1.0) * t1
+    log_s = np.log((t1 - t2) * (t1 * t2 + 1.0) / den / w) * ((1.0 - rho) / rho)
+    return log_s + np.log((t1 * t1 + 1.0) * t2 / den)
+
+
+def test_batched_kanter_rows_equal_a_loop_over_rho():
+    # one (k, 1) column of rho shares tan(theta / 2) and 1 + tan^2 across rows,
+    # and each row keeps the bits of the single-rho kernel
+    gen = np.random.default_rng(12)
+    theta = gen.uniform(0.0, np.pi, 50_000)
+    w = gen.standard_exponential(50_000)
+    rhos = [0.5, 0.85, 0.9, 0.925, 0.95, 0.9995]
+    batched = _log_kanter(np.array(rhos)[:, None], theta, w)
+    loop = np.array([_log_kanter_one_rho(rho, theta, w) for rho in rhos])
+    assert batched.shape == (len(rhos), theta.size)
+    assert np.array_equal(batched.view(np.int64), loop.view(np.int64))
+    assert np.array_equal(_log_kanter(0.9, theta, w).view(np.int64), loop[2].view(np.int64))
+
+
 def _mp_log_kanter(rho, theta, w):
     """50-digit log S at the exact float inputs, from the sines."""
     with mpmath.workdps(50):
