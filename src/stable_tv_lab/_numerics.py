@@ -65,19 +65,24 @@ class CubicSpline:
         self._inv_h = (x.size - 1) / float(x[-1] - x[0])
 
     def _locate(self, x):
-        """(coefficients of each x's interval, x - its left knot); NaN stays NaN."""
+        """(interval index, x - its left knot) for each x; NaN stays NaN."""
         x = np.asarray(x, dtype=float)
         # fmin and fmax map NaN to an end interval, where s keeps it NaN
         j = np.fmax(np.fmin(np.floor((x - self._x0) * self._inv_h), self.c.shape[1] - 1), 0.0).astype(np.intp)
-        return self.c[:, j], x - self.knots[j]
+        return j, x - self.knots[j]
 
     def __call__(self, x) -> np.ndarray:
-        c, s = self._locate(x)
-        return ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
+        j, s = self._locate(x)
+        c = self.c
+        out = c[0][j]  # Horner in place: x may hold the 65537 points of a density grid
+        for row in c[1:]:
+            out *= s
+            out += row[j]
+        return out
 
     def second_derivative(self, x) -> np.ndarray:
-        c, s = self._locate(x)
-        return 6.0 * c[0] * s + 2.0 * c[1]
+        j, s = self._locate(x)
+        return 6.0 * self.c[0][j] * s + 2.0 * self.c[1][j]
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
