@@ -8,8 +8,9 @@ blocks run by one private block runner for both run_ensemble (endpoints)
 and mc_semigroup (per-block sums of h), and so for the campaigns.  The
 driver alone picks the increments, exact in law at every step:
 stable_sampling's one symmetric-stable sampler, sample_stable_vector,
-gives sqrt(h) z for Brownian motion and the subordinated sqrt(S) z, with
-S the alpha/2-stable subordinator, for the stable driver in every d.  The
+gives sqrt(h) z for Brownian motion and the subordinated
+h^{1/alpha} sqrt(S_1) z, with S_1 the alpha/2-stable subordinator at unit
+time, for the stable driver in every d.  The
 coupled driver ('coupled', (alpha_1, ..., alpha_k)) moves k stable paths
 and one Brownian path on shared draws: it draws z and the k subordinators
 itself, all k from one Kanter draw, since its Brownian path needs z; its
@@ -19,9 +20,13 @@ run beside it (common random numbers across alpha).  Likewise a tuple of
 m horizons, each with its own EulerConfig and all with the same step
 count, moves on one unit draw per step scaled to each horizon's step, so
 each horizon's paths are those of its run alone (common random numbers
-across t).  The only discretization error is in the drift term, which
-keeps the alpha -> 2 comparison clean.  EulerConfig holds the step dt,
-which has no default, and the diffusion matrix sigma, nothing else.
+across t).  Each call of advance moves one block of paths through
+workspaces allocated once for the block, the drift term and the
+increments, so its steps allocate little beyond drift.b's output.  The
+only discretization error is in the drift term, which keeps the
+alpha -> 2 comparison clean.  EulerConfig holds the step dt,
+which has no default, and the diffusion matrix sigma, square and
+invertible, nothing else.
 Paths are simulated in fixed-size blocks with per-block substreams, so
 results are bit-identical regardless of the worker count; campaigns pass
 their `workers` setting through.  Several start points given at once
@@ -88,7 +93,9 @@ class EulerConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.sigma is not None:
             sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-            if not np.isfinite(np.linalg.cond(sigma)):
+            if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+                raise ValueError(f"sigma must be a square matrix, got shape {sigma.shape}")
+            if not np.linalg.cond(sigma) < 1.0 / np.finfo(float).eps:  # singular to working precision
                 raise ValueError("sigma must be invertible")
             object.__setattr__(self, "sigma", sigma)
 
@@ -197,18 +204,18 @@ def _check_horizons(kind: str, t, cfg):
     return ts, cfgs, steps.pop()
 
 
-def _increments(kind: str, alpha, h, n: int, d: int, rng: RngStream) -> np.ndarray:
+def _increments(kind: str, alpha, h, rng: RngStream, out: np.ndarray) -> None:
     """Exact-in-law driver increments over one step of size h, or of the m sizes
-    of a tuple h, shape (paths, n, d)."""
+    of a tuple h, written to out, shape (paths, n, d)."""
+    n, d = out.shape[1:]
     if kind != "coupled":  # alpha = 2 for Brownian motion
-        return sample_stable_vector(alpha, h, d, rng, n).reshape(-1, n, d)
+        sample_stable_vector(alpha, h, d, rng, n, out=out if isinstance(h, tuple) else out[0])
+        return
     # coupled: the Gaussians first, then one subordinator per alpha; z also drives the Brownian path
     z = rng.normal((n, d))
     s = sample_subordinator(alpha, h, rng, n)
-    dl = np.empty((len(alpha) + 1, n, d))
-    np.multiply(np.sqrt(s, out=s)[..., None], z, out=dl[:-1])
-    np.multiply(np.sqrt(h), z, out=dl[-1])
-    return dl
+    np.multiply(np.sqrt(s, out=s)[..., None], z, out=out[:-1])
+    np.multiply(np.sqrt(h), z, out=out[-1])
 
 
 def advance(state: np.ndarray, t, drift: DriftField, driver, cfg, rng: RngStream) -> None:
@@ -229,25 +236,38 @@ def advance(state: np.ndarray, t, drift: DriftField, driver, cfg, rng: RngStream
     moving by its own step h_k = min(dt_k, remaining_k).  Each step draws
     one unit increment and scales it to every h_k (h_k^{1/alpha} in law),
     so row k equals, bit for bit, the run of (t_k, cfg_k) alone on the same
-    stream: common random numbers across t.  Raises IntegrationError when a
+    stream: common random numbers across t.
+
+    The drift term and the increments (and sigma times them) go into
+    workspaces allocated once per call, so a step allocates little beyond
+    what drift.b returns.  drift.b's output is read, never written: b may
+    return its argument or a read-only view.  Raises ValueError, before any
+    draw, when sigma is not drift.d x drift.d, and IntegrationError when a
     state becomes non-finite.
     """
     kind, alpha = _check_driver(driver)
     ts, cfgs, steps = _check_horizons(kind, t, cfg)
+    sigma = cfgs[0].sigma
+    if sigma is not None and sigma.shape[0] != drift.d:
+        raise ValueError(f"sigma is {sigma.shape[0]} x {sigma.shape[0]}, the drift has d = {drift.d}")
     horizons = isinstance(t, tuple)
     paths = state if kind == "coupled" or horizons else state[None]
     n, d = state.shape[-2:]
     between = (1,) * (paths.ndim - 3)  # the start-point axes, which share each increment
-    sigma = cfgs[0].sigma
+    # workspaces for the whole block: the drift term, the increments and, with sigma, sigma dl
+    drift_term = np.empty_like(paths)
+    dl = np.empty(paths.shape[:1] + (n, d))
+    noise = dl if sigma is None else np.empty_like(dl)
     remaining = ts
     for step in range(steps):
         hs = tuple(min(c.dt, r) for c, r in zip(cfgs, remaining))
-        dl = _increments(kind, alpha, hs if horizons else hs[0], n, d, rng)
+        _increments(kind, alpha, hs if horizons else hs[0], rng, dl)
         if sigma is not None:
-            dl = dl @ sigma.T
+            np.matmul(dl, sigma.T, out=noise)
         h = np.reshape(hs, (-1,) + between + (1, 1)) if horizons else hs[0]
-        paths += drift.b(paths.reshape(-1, d)).reshape(paths.shape) * h
-        paths += dl.reshape(dl.shape[:1] + between + (n, d))
+        # a new product, never b's output scaled in place: b may return its argument or a read-only view
+        paths += np.multiply(drift.b(paths.reshape(-1, d)).reshape(paths.shape), h, out=drift_term)
+        paths += noise.reshape(noise.shape[:1] + between + (n, d))
         if not np.isfinite(state).all():
             raise IntegrationError(step)
         remaining = tuple(r - hk for r, hk in zip(remaining, hs))
@@ -343,7 +363,7 @@ def mc_semigroup(h, drift, driver, x, t, n, rng, cfg, workers: int = 1):
     combined in block order: est is the sum over n, which for an indicator
     h is exact and equals the mean of the endpoints' h values.
     """
-    if isinstance(driver, (tuple, list)) and driver[0] == "coupled":
+    if _check_driver(driver)[0] == "coupled":
         raise ValueError("mc_semigroup needs a single driver, not a coupled one")
     start = _start_points(drift, driver, x, t, cfg)
 

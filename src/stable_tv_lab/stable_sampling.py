@@ -13,12 +13,13 @@ exponent.  The one-sided draw is computed in log space, scale included,
 from the half-angle tangents of its uniform angle, so it stays finite and
 positive up to alpha -> 2.  Given several alpha at once, the subordinator
 draws its uniform angle and exponential once and transforms them for each
-alpha, as the coupled Euler driver of several alpha needs.  Given several
-times at once, both samplers transform one unit draw and scale it to
-each time (the scale is t^{2/alpha} for S_t, sqrt(t) for Brownian
-motion), as the Euler stepper of several horizons needs.  The scale
-algebra is the dominant failure mode, so it is pinned by CF and
-Laplace-transform acceptance tests, never trusted.
+alpha, as the coupled Euler driver of several alpha needs.  The symmetric
+stable sampler always draws at unit time and scales the unit vector
+sqrt(S_1) z to each time it is given (by t^{1/alpha}, or sqrt(t) for
+Brownian motion), so several times cost one root per draw, as the Euler
+stepper of several horizons needs.  The scale algebra is the dominant
+failure mode, so it is pinned by CF and Laplace-transform acceptance
+tests, never trusted.
 """
 
 from __future__ import annotations
@@ -114,15 +115,15 @@ def _times(t) -> tuple:
     return ts
 
 
-def sample_subordinator(alpha, t, rng: RngStream, size: int) -> np.ndarray:
+def sample_subordinator(alpha, t: float, rng: RngStream, size: int) -> np.ndarray:
     """size draws of S_t, alpha in (0, 2), with Laplace transform exp(-t (2r)^{alpha/2} / 2).
 
     alpha is one value, giving shape (size,), or a tuple of k values,
-    giving (k, size): row j is S_t for alpha[j].  Likewise t is one time or
-    a tuple of m times, giving (m, size): row k is S_{t_k}.  All rows come
-    from one Kanter draw (theta, w), so each row equals, bit for bit, the
-    draw for its alpha or t alone on the same stream (common random
-    numbers).  A tuple of both is refused.
+    giving (k, size): row j is S_t for alpha[j].  All rows come from one
+    Kanter draw (theta, w), so each row equals, bit for bit, the draw for
+    its alpha alone on the same stream (common random numbers).  t is one
+    time; a tuple of times is refused (sample_stable_vector scales one unit
+    draw to several times).
 
     E exp(-r c S) = exp(-(cr)^rho) for a unit Kanter draw S, so the scale
     c must satisfy c^rho = t 2^{rho - 1} with rho = alpha/2, i.e.
@@ -134,28 +135,28 @@ def sample_subordinator(alpha, t, rng: RngStream, size: int) -> np.ndarray:
     for a in alphas:
         if not 0.0 < a < 2.0:
             raise ValueError(f"alpha must be in (0, 2), got {a}")
-    ts = _times(t)
-    if len(alphas) > 1 and len(ts) > 1:
-        raise ValueError("give a tuple of alpha or a tuple of t, not both")
+    if isinstance(t, tuple) or not t > 0.0:
+        raise ValueError(f"t must be one positive time, got {t!r}")
     log_s = _log_unit_pos_stable([a / 2.0 for a in alphas], rng, size)
-    rows = units = log_s  # each alpha shifts its own row in place
-    if len(ts) > 1:  # several t shift the one unit row into m new rows
-        rows, units = np.empty((len(ts), size)), [log_s[0]] * len(ts)
-    log_c = [(2.0 / a) * math.log(tk) + (1.0 - 2.0 / a) * math.log(2.0) for a in alphas for tk in ts]
-    for unit, row, c in zip(units, rows, log_c):
-        np.add(unit, c, out=row)
-    s = np.exp(rows, out=rows)
-    return s if isinstance(alpha, tuple) or isinstance(t, tuple) else s[0]
+    for row, a in zip(log_s, alphas):
+        row += (2.0 / a) * math.log(t) + (1.0 - 2.0 / a) * math.log(2.0)
+    s = np.exp(log_s, out=log_s)
+    return s if isinstance(alpha, tuple) else s[0]
 
 
-def sample_stable_vector(alpha: float, t, d: int, rng: RngStream, n: int) -> np.ndarray:
+def sample_stable_vector(
+    alpha: float, t, d: int, rng: RngStream, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """n rotationally symmetric stable vectors with CF exp(-t |xi|^alpha / 2), shape (n, d).
 
-    Draws S ~ subordinator, then z ~ N(0, I_d), and returns sqrt(S) z; the
-    Brownian case alpha = 2 returns sqrt(t) z with no subordinator.  A
-    tuple of m times gives (m, n, d): row k is the draw at t_k, from one S
-    draw and one z, and equals, bit for bit, the single-t call on the same
-    stream, as the Euler stepper of several horizons needs.
+    Draws the unit subordinator S_1, then z ~ N(0, I_d), forms the unit
+    draw sqrt(S_1) z and scales it by t^{1/alpha}, since S_t has the law of
+    t^{2/alpha} S_1; the Brownian case alpha = 2 draws no subordinator and
+    returns sqrt(t) z.  A tuple of m times gives (m, n, d): row k is the
+    unit draw scaled to t_k, so it equals, bit for bit, the single-t call on
+    the same stream, and m times cost one exp and one sqrt per draw, as the
+    Euler stepper of several horizons needs.  The result goes to out when
+    it is given, an array of that shape.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -163,10 +164,16 @@ def sample_stable_vector(alpha: float, t, d: int, rng: RngStream, n: int) -> np.
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
     ts = _times(t)
     if alpha == 2.0:
-        scale = np.sqrt(np.array(ts))[:, None, None] if isinstance(t, tuple) else math.sqrt(t)
-        return scale * rng.normal((n, d))
-    s = sample_subordinator(alpha, t, rng, n)
-    return np.sqrt(s)[..., None] * rng.normal((n, d))
+        z = rng.normal((n, d))
+        scales = [math.sqrt(tk) for tk in ts]
+    else:
+        s = sample_subordinator(alpha, 1.0, rng, n)
+        root = np.sqrt(s, out=s)
+        z = rng.normal((n, d))
+        z *= root[:, None]
+        scales = [tk ** (1.0 / alpha) for tk in ts]
+    scale = np.array(scales)[:, None, None] if isinstance(t, tuple) else scales[0]
+    return np.multiply(scale, z, out=out)
 
 
 def empirical_char_fn(samples: np.ndarray, xi) -> complex:

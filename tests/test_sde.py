@@ -1,6 +1,8 @@
 """Euler-Maruyama engine tests: drift registry, hypothesis probes,
 moment checks against closed forms, and worker determinism."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,9 +18,10 @@ from stable_tv_lab import (
     probe_h2,
     run_ensemble,
     sample_stable_vector,
+    sample_subordinator,
     transition_cf,
 )
-from stable_tv_lab.sde import BLOCK_SIZE, IntegrationError
+from stable_tv_lab.sde import BLOCK_SIZE, IntegrationError, advance
 
 
 def test_registry_contents_and_errors():
@@ -57,6 +60,20 @@ def test_euler_config_validation():
     with pytest.raises(TypeError):  # dt is required: there is no default step
         EulerConfig()
     assert EulerConfig(dt=0.5).step_size(10.0) == 0.5
+    for sigma in ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0], np.ones((1, 1, 1)), [[1.0, 1.0], [1.0, 1.0]]):
+        with pytest.raises(ValueError):  # sigma must be square and invertible
+            EulerConfig(dt=0.1, sigma=sigma)
+
+
+def test_sigma_must_match_the_drift_dimension_before_any_draw():
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew from the stream ({name}) before checking sigma")
+
+    for d, sigma in [(1, np.eye(2)), (2, [[2.0]])]:
+        cfg = EulerConfig(dt=0.1, sigma=sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            advance(np.zeros((8, d)), 0.3, drift_registry("ou", d=d), ("stable", 1.5), cfg, NoDraws())
 
 
 def test_brownian_ou_moments_match_closed_form():
@@ -293,6 +310,77 @@ def test_sigma_scales_every_driver(driver):
         assert np.var(paths[-1]) == pytest.approx(4.0 * t, rel=0.03)
 
 
+def _reference_blocks(b, cfg, driver, start, t, n, rng):
+    """The endpoints of each block of n paths from start (run_ensemble's
+    lead + (1, d) start state), in the plain expressions of a reference
+    stepper: a fresh increments array every step, drawn from the lab's
+    samplers on the block's substream, and x + b(x) h + dl."""
+    horizons = isinstance(t, tuple)
+    ts, cfgs = (t, cfg) if horizons else ((t,), (cfg,))
+    steps = math.ceil(ts[0] / cfgs[0].dt - 1e-9)
+    d, sigma = start.shape[-1], cfgs[0].sigma
+    blocks = []
+    for i in range(0, n, BLOCK_SIZE):
+        size, rng_i = min(BLOCK_SIZE, n - i), rng.substream(i // BLOCK_SIZE)
+        x = np.broadcast_to(start, start.shape[:-2] + (size, d))
+        x = x if driver[0] == "coupled" or horizons else x[None]
+        rows = (len(x),) + (1,) * (x.ndim - 3)
+        remaining = ts
+        for _ in range(steps):
+            hs = [min(c.dt, r) for c, r in zip(cfgs, remaining)]
+            if driver[0] == "coupled":
+                z = rng_i.normal((size, d))
+                s = sample_subordinator(driver[1], hs[0], rng_i, size)
+                dl = np.concatenate([np.sqrt(s)[..., None] * z, [np.sqrt(hs[0]) * z]])
+            else:
+                alpha = 2.0 if driver == "brownian" else driver[1]
+                dl = sample_stable_vector(alpha, tuple(hs) if horizons else hs[0], d, rng_i, size)
+            if sigma is not None:
+                dl = dl @ sigma.T
+            h = np.reshape(hs, rows[:1] + (1,) * (x.ndim - 1)) if horizons else hs[0]
+            x = x + b(x.reshape(-1, d)).reshape(x.shape) * h + dl.reshape(rows + (size, d))
+            remaining = [r - hk for r, hk in zip(remaining, hs)]
+        blocks.append(x.reshape(start.shape[:-2] + (size, d)))
+    return blocks
+
+
+DRIFTS = {
+    "ou": lambda x: -x,
+    "identity": lambda x: x,  # returns its argument: scaling it in place would move the state
+    "read-only-zero": lambda x: np.broadcast_to(0.0, x.shape),
+}
+
+
+@pytest.mark.parametrize("drift_name", list(DRIFTS))
+@pytest.mark.parametrize("d, sigma", [(1, None), (1, [[2.0]]), (2, None), (2, [[2.0, 0.5], [0.0, 1.0]])],
+                         ids=["d1", "d1-sigma", "d2", "d2-sigma"])
+@pytest.mark.parametrize(
+    "driver, horizons",
+    [("brownian", False), (("stable", 1.5), False), (("coupled", (1.5, 1.8, 1.9)), False),
+     ("brownian", True), (("stable", 1.5), True)],
+    ids=["brownian", "stable", "coupled-3-alpha", "brownian-3-horizons", "stable-3-horizons"],
+)
+def test_stepper_matches_a_reference_stepper(driver, horizons, d, sigma, drift_name):
+    # the stepper's per-block workspaces change no bit of an ensemble, whatever b returns
+    drift = DriftField(b=DRIFTS[drift_name], d=d, theta0=0.0, name=drift_name)
+    n, rng = BLOCK_SIZE + 5, RngStream(31, 0)
+    if horizons:
+        t = (0.05, 0.2, 0.5)
+        cfg = tuple(EulerConfig(dt=tk / 4, sigma=sigma) for tk in t)
+        x = 0.3 * np.arange(3 * 2 * d).reshape(3, 2, d) - 0.5
+    else:
+        t, cfg, x = 0.5, EulerConfig(dt=0.15, sigma=sigma), 0.5 * np.arange(2 * d).reshape(2, d) - 0.25
+    lead = (len(driver[1]) + 1,) if driver[0] == "coupled" else ()
+    start = np.broadcast_to(x[..., None, :], lead + x.shape[:-1] + (1, d))
+    blocks = _reference_blocks(drift.b, cfg, driver, start, t, n, rng)
+    np.testing.assert_array_equal(run_ensemble(drift, cfg, driver, x, t, n, rng), np.concatenate(blocks, axis=-2))
+    if driver[0] != "coupled":
+        h = np.cos if d == 1 else (lambda y: np.cos(y[..., 0] + 0.5 * y[..., 1]))
+        est, _ = mc_semigroup(h, drift, driver, x, t, n, rng, cfg=cfg)
+        want = sum(h(e[..., 0] if d == 1 else e).sum(axis=-1) for e in blocks) / n
+        np.testing.assert_array_equal(est, want)
+
+
 def test_explosive_drift_raises_integration_error():
     cubic = DriftField(b=lambda x: x**3, d=1, theta0=0.0, name="cubic")
     with pytest.raises(IntegrationError):
@@ -312,9 +400,10 @@ def test_driver_parsing_rejects_bad_alpha():
     ]:
         with pytest.raises(ValueError):
             run_ensemble(drift_registry("ou"), EulerConfig(dt=0.1), driver, [0.0], t, 16, RngStream(0, 0))
-    with pytest.raises(ValueError):  # a coupled ensemble has no single P_t h
-        mc_semigroup(np.cos, drift_registry("ou"), ("coupled", (1.5,)), [0.0], 1.0, 16, RngStream(0, 0),
-                     cfg=EulerConfig(dt=0.1))
+    for driver in [("coupled", (1.5,)), ()]:  # a coupled ensemble has no single P_t h; () is no driver
+        with pytest.raises(ValueError):
+            mc_semigroup(np.cos, drift_registry("ou"), driver, [0.0], 1.0, 16, RngStream(0, 0),
+                         cfg=EulerConfig(dt=0.1))
 
 
 def test_mc_semigroup_matches_cosine_closed_form():
