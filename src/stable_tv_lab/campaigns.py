@@ -78,8 +78,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown campaign {self.campaign!r}; choose from {sorted(CAMPAIGNS)}"
             )
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("seed", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 2**64:  # RngStream's key range
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not isinstance(self.params, dict):
             raise ValueError(f"params must be a JSON object, got {type(self.params).__name__}")
         merged = dict(DEFAULT_PARAMS[self.campaign])

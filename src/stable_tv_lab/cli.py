@@ -3,8 +3,9 @@
 Exit status is 1 when at least one check fails, and 2, with argparse's
 usage message, for a bad command line or config (an unknown campaign,
 config or params key, a config file that is missing or not a JSON object,
-params that are not an object, a seed that is not an integer, workers < 1).  STABLE_TV_LAB_SEED and STABLE_TV_LAB_WORKERS
-override seed and worker count.
+params that are not an object, a seed that is not an integer in
+[0, 2^64), workers that are not an integer >= 1).  STABLE_TV_LAB_SEED and
+STABLE_TV_LAB_WORKERS override seed and worker count.
 """
 
 from __future__ import annotations

@@ -74,8 +74,6 @@ class RateFit:
 
     points: list  # (epsilon, value)
     slope: float
-    intercept: float
-    max_residual: float
     curvature: float = 0.0  # quadratic coefficient in log eps; >0 flags a log factor
 
 
@@ -153,7 +151,7 @@ def tv_cf_lower_bound(a: np.ndarray, b: np.ndarray, xis) -> float:
 
 
 def rate_fit(points) -> RateFit:
-    """Fit log(value) = slope * log(2 - alpha) + intercept.
+    """Fit log(value) = slope * log(2 - alpha) + c.
 
     Input points are (alpha, value) with alpha < 2 and value > 0; the
     slope estimates the rate exponent in epsilon = 2 - alpha.
@@ -170,13 +168,10 @@ def rate_fit(points) -> RateFit:
     x, y = np.log(eps), np.log(vals)
     if np.ptp(x) < 1e-12:
         raise ValueError("degenerate abscissae")
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
+    slope = np.polyfit(x, y, 1)[0]
     quad = np.polyfit(x, y, 2)[0] if len(points) >= 4 else 0.0
     return RateFit(
         points=[(float(e), float(v)) for e, v in zip(eps, vals)],
         slope=float(slope),
-        intercept=float(intercept),
-        max_residual=float(np.max(np.abs(resid))),
         curvature=float(quad),
     )

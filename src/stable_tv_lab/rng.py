@@ -1,10 +1,10 @@
 """Counter-based, splittable random streams.
 
 Built on numpy's Philox generator: the 128-bit key is assembled from
-(root_seed, stream_index), so distinct stream indices give statistically
-independent streams and identical (root_seed, stream_index) pairs always
-replay the identical sequence, independent of worker count or call order
-elsewhere in the program.
+(root_seed, stream_index), each in [0, 2^64), so distinct stream indices
+give statistically independent streams and identical (root_seed,
+stream_index) pairs always replay the identical sequence, independent of
+worker count or call order elsewhere in the program.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be non-negative")
-        key = (int(self.root_seed) & _MASK64) | ((int(self.stream_index) & _MASK64) << 64)
+        # out-of-range values would alias an in-range key (-1 and 2^64 - 1 draw alike)
+        for name in ("root_seed", "stream_index"):
+            if not 0 <= int(getattr(self, name)) <= _MASK64:
+                raise ValueError(f"{name} must be in [0, 2**64), got {getattr(self, name)}")
+        key = int(self.root_seed) | (int(self.stream_index) << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     @property

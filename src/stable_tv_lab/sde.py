@@ -1,7 +1,7 @@
 """Euler-Maruyama engine for the Brownian and stable SDEs.
 
-    dX_t = b(X_t) dt + sigma dL_t      (stable driver, 1 < alpha < 2)
-    dY_t = b(Y_t) dt + sigma dB_t      (Brownian driver)
+    dX_t = b(X_t) dt + dL_t      (stable driver, 1 < alpha < 2)
+    dY_t = b(Y_t) dt + dB_t      (Brownian driver)
 
 One stepper, advance, integrates every path the lab simulates, in
 blocks run by one private block runner for both run_ensemble (endpoints)
@@ -24,9 +24,8 @@ across t).  Each call of advance moves one block of paths through
 workspaces allocated once for the block, the drift term and the
 increments, so its steps allocate little beyond drift.b's output.  The
 only discretization error is in the drift term, which keeps the
-alpha -> 2 comparison clean.  EulerConfig holds the step dt,
-which has no default, and the diffusion matrix sigma, square and
-invertible, nothing else.
+alpha -> 2 comparison clean.  The noise enters with sigma = I, and
+EulerConfig holds the step dt alone, which has no default.
 Paths are simulated in fixed-size blocks with per-block substreams, so
 results are bit-identical regardless of the worker count; campaigns pass
 their `workers` setting through.  Several start points given at once
@@ -59,102 +58,34 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class DriftField:
-    """Drift b with its declared dissipativity/smoothness constants.
-
-    The constants are claims, verified by probe_h1/probe_h2, not trusted.
-    b must be vectorized: (n, d) -> (n, d).
-    """
+    """Drift b on R^d; b must be vectorized: (n, d) -> (n, d)."""
 
     b: Callable[[np.ndarray], np.ndarray]
     d: int
-    theta0: float
-    theta1: float = 0.0
-    theta2: float = 0.0
-    K: float = 0.0
-    name: str = "custom"
 
 
 def drift_registry(name: str, d: int = 1) -> DriftField:
     """Built-in drifts: ou, zero."""
     if name == "ou":
-        return DriftField(b=lambda x: -x, d=d, theta0=1.0, theta1=1.0, name="ou")
+        return DriftField(b=lambda x: -x, d=d)
     if name == "zero":
-        return DriftField(b=lambda x: np.zeros_like(x), d=d, theta0=0.0, name="zero")
+        return DriftField(b=lambda x: np.zeros_like(x), d=d)
     raise KeyError(f"unknown drift {name!r}")
 
 
 @dataclass(frozen=True)
 class EulerConfig:
+    """The Euler step dt of a run; it has no default."""
+
     dt: float
-    sigma: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.sigma is not None:
-            sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-            if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-                raise ValueError(f"sigma must be a square matrix, got shape {sigma.shape}")
-            if not np.linalg.cond(sigma) < 1.0 / np.finfo(float).eps:  # singular to working precision
-                raise ValueError("sigma must be invertible")
-            object.__setattr__(self, "sigma", sigma)
 
     def step_size(self, t: float) -> float:
         """The step over a horizon t: dt, whatever t."""
         return self.dt
-
-
-def probe_h1(drift: DriftField, pairs) -> float:
-    """Worst dissipativity margin over probe pairs.
-
-    Returns max over (x, y) of <x-y, b(x)-b(y)> + theta0 |x-y|^2 - K;
-    non-positive means the declared (theta0, K) hold on the probe set.
-    """
-    if len(pairs) == 0:
-        raise ValueError("need at least one probe pair")
-    worst = -np.inf
-    for x, y in pairs:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if x.shape != y.shape or x.shape[0] != drift.d:
-            raise ValueError("probe pair dimension mismatch")
-        bx = drift.b(x[None, :])[0]
-        by = drift.b(y[None, :])[0]
-        margin = float(np.dot(x - y, bx - by) + drift.theta0 * np.sum((x - y) ** 2) - drift.K)
-        worst = max(worst, margin)
-    return worst
-
-
-def probe_h2(drift: DriftField, points, fd_step: float = 1e-5, rng: RngStream | None = None):
-    """Finite-difference estimates of the derivative bounds (theta1, theta2).
-
-    Central differences along random unit directions; returns the observed
-    suprema of |D_v b| / |v| and |D_w D_v b| / (|v||w|) over the probe set.
-    """
-    if fd_step <= 0.0:
-        raise ValueError("fd_step must be positive")
-    rng = rng or RngStream(0xD1F, 0)
-    d = drift.d
-    dirs = [np.eye(d)[i] for i in range(d)]
-    extra = rng.normal((8, d))
-    dirs += [v / np.linalg.norm(v) for v in extra]
-    h = fd_step
-    theta1_hat = 0.0
-    theta2_hat = 0.0
-    for x in points:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        for v in dirs:
-            dv = (drift.b((x + h * v)[None]) - drift.b((x - h * v)[None]))[0] / (2 * h)
-            theta1_hat = max(theta1_hat, float(np.linalg.norm(dv)))
-            for w in dirs[: min(len(dirs), d + 2)]:
-                dvw = (
-                    drift.b((x + h * v + h * w)[None])
-                    - drift.b((x + h * v - h * w)[None])
-                    - drift.b((x - h * v + h * w)[None])
-                    + drift.b((x - h * v - h * w)[None])
-                )[0] / (4 * h * h)
-                theta2_hat = max(theta2_hat, float(np.linalg.norm(dvw)))
-    return theta1_hat, theta2_hat
 
 
 def _check_driver(driver):
@@ -182,8 +113,8 @@ def _check_horizons(kind: str, t, cfg):
     """Validate the horizons of an Euler run -> (ts, cfgs, steps).
 
     t is one horizon with one EulerConfig, or a tuple of m horizons with m
-    configs that share sigma and take the same number of steps; ts and
-    cfgs are tuples either way.  The coupled driver takes one horizon.
+    configs that take the same number of steps; ts and cfgs are tuples
+    either way.  The coupled driver takes one horizon.
     """
     if not isinstance(t, tuple):
         ts, cfgs = (t,), (cfg,)
@@ -199,8 +130,6 @@ def _check_horizons(kind: str, t, cfg):
     steps = {math.ceil(tk / c.dt - 1e-9) for tk, c in zip(ts, cfgs)}
     if len(steps) > 1:
         raise ValueError(f"horizons must take the same number of steps, got {sorted(steps)}")
-    if any(not np.array_equal(c.sigma, cfgs[0].sigma) for c in cfgs):
-        raise ValueError("horizons must share sigma")
     return ts, cfgs, steps.pop()
 
 
@@ -238,36 +167,28 @@ def advance(state: np.ndarray, t, drift: DriftField, driver, cfg, rng: RngStream
     so row k equals, bit for bit, the run of (t_k, cfg_k) alone on the same
     stream: common random numbers across t.
 
-    The drift term and the increments (and sigma times them) go into
-    workspaces allocated once per call, so a step allocates little beyond
-    what drift.b returns.  drift.b's output is read, never written: b may
-    return its argument or a read-only view.  Raises ValueError, before any
-    draw, when sigma is not drift.d x drift.d, and IntegrationError when a
-    state becomes non-finite.
+    The drift term and the increments go into workspaces allocated once per
+    call, so a step allocates little beyond what drift.b returns.  drift.b's
+    output is read, never written: b may return its argument or a read-only
+    view.  Raises IntegrationError when a state becomes non-finite.
     """
     kind, alpha = _check_driver(driver)
     ts, cfgs, steps = _check_horizons(kind, t, cfg)
-    sigma = cfgs[0].sigma
-    if sigma is not None and sigma.shape[0] != drift.d:
-        raise ValueError(f"sigma is {sigma.shape[0]} x {sigma.shape[0]}, the drift has d = {drift.d}")
     horizons = isinstance(t, tuple)
     paths = state if kind == "coupled" or horizons else state[None]
     n, d = state.shape[-2:]
     between = (1,) * (paths.ndim - 3)  # the start-point axes, which share each increment
-    # workspaces for the whole block: the drift term, the increments and, with sigma, sigma dl
+    # workspaces for the whole block: the drift term and the increments
     drift_term = np.empty_like(paths)
     dl = np.empty(paths.shape[:1] + (n, d))
-    noise = dl if sigma is None else np.empty_like(dl)
     remaining = ts
     for step in range(steps):
         hs = tuple(min(c.dt, r) for c, r in zip(cfgs, remaining))
         _increments(kind, alpha, hs if horizons else hs[0], rng, dl)
-        if sigma is not None:
-            np.matmul(dl, sigma.T, out=noise)
         h = np.reshape(hs, (-1,) + between + (1, 1)) if horizons else hs[0]
         # a new product, never b's output scaled in place: b may return its argument or a read-only view
         paths += np.multiply(drift.b(paths.reshape(-1, d)).reshape(paths.shape), h, out=drift_term)
-        paths += noise.reshape(noise.shape[:1] + between + (n, d))
+        paths += dl.reshape(dl.shape[:1] + between + (n, d))
         if not np.isfinite(state).all():
             raise IntegrationError(step)
         remaining = tuple(r - hk for r, hk in zip(remaining, hs))

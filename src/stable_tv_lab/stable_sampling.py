@@ -206,7 +206,5 @@ def robust_mean(samples: np.ndarray, blocks: int = 32) -> float:
         raise ValueError("samples must be finite")
     if not 1 <= blocks <= values.size:
         raise ValueError(f"blocks must be in [1, {values.size}] (the sample count), got {blocks}")
-    if blocks == 1:
-        return float(np.mean(values))
     parts = np.array_split(values, blocks)
     return float(np.median([np.mean(p) for p in parts]))

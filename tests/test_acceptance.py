@@ -29,20 +29,13 @@ import os
 import numpy as np
 import pytest
 
-from stable_tv_lab import (
-    EulerConfig,
-    GridFunction,
-    RngStream,
-    drift_registry,
-    empirical_char_fn,
-    ergodic_density,
-    frac_laplacian_1d,
-    run_ensemble,
-    s_inverse_moment,
-    sample_stable_vector,
-)
 from stable_tv_lab.campaigns import ExperimentConfig, run_campaign
-from stable_tv_lab.sde import BLOCK_SIZE
+from stable_tv_lab.constants import s_inverse_moment
+from stable_tv_lab.ou import ergodic_density
+from stable_tv_lab.pde import GridFunction, frac_laplacian_1d
+from stable_tv_lab.rng import RngStream
+from stable_tv_lab.sde import BLOCK_SIZE, EulerConfig, drift_registry, run_ensemble
+from stable_tv_lab.stable_sampling import empirical_char_fn, sample_stable_vector
 
 
 def _verdict(k, ok, detail):

@@ -3,9 +3,10 @@ and the CLI exit-status contract."""
 
 import json
 
+import numpy as np
 import pytest
 
-from stable_tv_lab import RngStream, campaigns
+from stable_tv_lab import campaigns
 from stable_tv_lab.campaigns import (
     CAMPAIGNS,
     DEFAULT_PARAMS,
@@ -13,6 +14,7 @@ from stable_tv_lab.campaigns import (
     run_campaign,
 )
 from stable_tv_lab.cli import main
+from stable_tv_lab.rng import RngStream
 from stable_tv_lab.sde import BLOCK_SIZE
 
 SMALL_SAMPLERS = {"alpha": [1.5], "t": [1.0], "xi": [1.0], "n": 40_000}
@@ -28,9 +30,13 @@ def test_config_validation():
         ExperimentConfig("not-a-campaign")
     with pytest.raises(ValueError):
         ExperimentConfig("constants", params={"bogus": 1})
-    for workers in (0, -1):
+    for workers in (0, -1, "2", True, 2.0):
         with pytest.raises(ValueError):
             ExperimentConfig("constants", workers=workers)
+    for seed in (True, -1, 2**64, "0"):  # RngStream keys take seeds in [0, 2^64)
+        with pytest.raises(ValueError):
+            ExperimentConfig("constants", seed=seed)
+    assert ExperimentConfig("constants", seed=2**64 - 1, workers=np.int64(2)).workers == 2
     cfg = ExperimentConfig("constants", params={"d": [2]})
     assert cfg.params["d"] == [2]
     assert cfg.params["alpha"] == DEFAULT_PARAMS["constants"]["alpha"]  # merged
@@ -143,6 +149,11 @@ BAD_CONFIGS = {
     "json-array": ([], [1, 2]),
     "params-array": ([], {"params": [1]}),
     "seed-string": ([], {"seed": "x"}),
+    "seed-bool": ([], {"seed": True}),
+    "seed-negative": (["--seed", "-1"], None),
+    "seed-2**64": ([], {"seed": 2**64}),
+    "workers-string": ([], {"workers": "2"}),
+    "workers-bool": ([], {"workers": True}),
     "missing-file": (["--config", "absent.json"], None),
 }
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from stable_tv_lab import (
+from stable_tv_lab.constants import (
     a_const,
     constant_report,
     jump_tail_mass,

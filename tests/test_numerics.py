@@ -16,8 +16,10 @@ from scipy.integrate import quad as scipy_quad
 from scipy.integrate import quad_vec
 from scipy.interpolate import CubicSpline as ScipySpline
 
-from stable_tv_lab import GridFunction, a_const, ou, pde
+from stable_tv_lab import ou, pde
 from stable_tv_lab._numerics import CubicSpline, quad
+from stable_tv_lab.constants import a_const
+from stable_tv_lab.pde import GridFunction
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

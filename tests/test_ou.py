@@ -21,14 +21,9 @@ import math
 import numpy as np
 import pytest
 
-from stable_tv_lab import (
-    ergodic_density,
-    exact_tv_mu,
-    lb_curve,
-    transition_cf,
-    tv_from_densities,
-)
 from stable_tv_lab import ou
+from stable_tv_lab.distances import tv_from_densities
+from stable_tv_lab.ou import ergodic_density, exact_tv_mu, lb_curve, transition_cf
 
 EXACT_TV = {
     1.7: 0.0852263394,

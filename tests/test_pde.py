@@ -10,17 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from stable_tv_lab import (
+from stable_tv_lab.constants import a_const
+from stable_tv_lab.pde import (
     GridFunction,
-    a_const,
-    drift_registry,
+    _half_angle_cos,
     frac_laplacian_1d,
     generator_p,
     generator_q,
     lin_norm_diff,
     poisson_solution_grid,
 )
-from stable_tv_lab.pde import _half_angle_cos
+from stable_tv_lab.sde import drift_registry
 
 POISSON_F0 = {
     2.0: -0.103789001406,

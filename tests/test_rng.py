@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stable_tv_lab import RngStream
 from stable_tv_lab.campaigns import DEFAULT_PARAMS
+from stable_tv_lab.rng import RngStream
 from stable_tv_lab.sde import BLOCK_SIZE
 
 
@@ -45,6 +45,14 @@ def test_substreams_do_not_collide_across_parents():
 def test_negative_stream_index_rejected():
     with pytest.raises(ValueError):
         RngStream(0, -1)
+
+
+def test_keys_outside_uint64_are_rejected():
+    # masking them to 64 bits would alias another key: -1 and 5 + 2^64 would draw as 2^64 - 1 and 5
+    for seed, index in [(-1, 0), (2**64, 0), (5 + 2**64, 0), (0, 2**64)]:
+        with pytest.raises(ValueError):
+            RngStream(seed, index)
+    RngStream(2**64 - 1, 2**64 - 1)  # the largest key is accepted
 
 
 def test_passthrough_shapes_and_ranges():

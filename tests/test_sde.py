@@ -1,56 +1,31 @@
-"""Euler-Maruyama engine tests: drift registry, hypothesis probes,
-moment checks against closed forms, and worker determinism."""
+"""Euler-Maruyama engine tests: drift registry, moment checks against
+closed forms, and worker determinism."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from stable_tv_lab import (
+from stable_tv_lab.ou import transition_cf
+from stable_tv_lab.rng import RngStream
+from stable_tv_lab.sde import (
+    BLOCK_SIZE,
     DriftField,
     EulerConfig,
-    RngStream,
+    IntegrationError,
+    advance,
     drift_registry,
     mc_semigroup,
-    probe_h1,
-    probe_h2,
     run_ensemble,
-    sample_stable_vector,
-    sample_subordinator,
-    transition_cf,
 )
-from stable_tv_lab.sde import BLOCK_SIZE, IntegrationError, advance
+from stable_tv_lab.stable_sampling import sample_stable_vector, sample_subordinator
 
 
 def test_registry_contents_and_errors():
     ou = drift_registry("ou")
     np.testing.assert_allclose(ou.b(np.array([[2.0]])), [[-2.0]])
-    assert ou.theta0 == 1.0
     with pytest.raises(KeyError):
         drift_registry("nope")
-
-
-@given(
-    x=st.floats(min_value=-50, max_value=50),
-    y=st.floats(min_value=-50, max_value=50),
-)
-def test_probe_h1_holds_for_ou(x, y):
-    # <x - y, b(x) - b(y)> = -|x - y|^2, so the margin with theta0 = 1 is 0
-    margin = probe_h1(drift_registry("ou"), [([x], [y])])
-    assert margin <= 1e-9
-
-
-def test_probe_h1_detects_a_false_claim():
-    bad = DriftField(b=lambda x: x, d=1, theta0=1.0, name="anti-dissipative")
-    assert probe_h1(bad, [([1.0], [0.0])]) > 0.0
-
-
-def test_probe_h2_recovers_ou_derivative_bounds():
-    t1, t2 = probe_h2(drift_registry("ou"), [np.zeros(1), np.ones(1)])
-    assert t1 == pytest.approx(1.0, abs=1e-6)
-    assert t2 == pytest.approx(0.0, abs=1e-3)
 
 
 def test_euler_config_validation():
@@ -60,20 +35,6 @@ def test_euler_config_validation():
     with pytest.raises(TypeError):  # dt is required: there is no default step
         EulerConfig()
     assert EulerConfig(dt=0.5).step_size(10.0) == 0.5
-    for sigma in ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0], np.ones((1, 1, 1)), [[1.0, 1.0], [1.0, 1.0]]):
-        with pytest.raises(ValueError):  # sigma must be square and invertible
-            EulerConfig(dt=0.1, sigma=sigma)
-
-
-def test_sigma_must_match_the_drift_dimension_before_any_draw():
-    class NoDraws:
-        def __getattr__(self, name):
-            raise AssertionError(f"drew from the stream ({name}) before checking sigma")
-
-    for d, sigma in [(1, np.eye(2)), (2, [[2.0]])]:
-        cfg = EulerConfig(dt=0.1, sigma=sigma)
-        with pytest.raises(ValueError, match="sigma"):
-            advance(np.zeros((8, d)), 0.3, drift_registry("ou", d=d), ("stable", 1.5), cfg, NoDraws())
 
 
 def test_brownian_ou_moments_match_closed_form():
@@ -113,7 +74,7 @@ def test_start_points_share_draws_and_match_single_runs(driver, workers):
     x0 = np.array([[0.5], [-0.5], [2.0]])
     kwargs = dict(
         drift=drift_registry("ou"),
-        cfg=EulerConfig(dt=0.1, sigma=[[2.0]]),
+        cfg=EulerConfig(dt=0.1),
         driver=driver,
         t=0.3,
         n=2 * BLOCK_SIZE + 5,
@@ -220,7 +181,6 @@ def test_horizon_form_validation():
         ("brownian", (0.1, 0.0), (EulerConfig(dt=0.1), EulerConfig(dt=0.1)), [0.0]),
         (("stable", 1.5), (0.1, -0.2), (EulerConfig(dt=0.1), EulerConfig(dt=0.1)), [0.0]),
         ("brownian", (0.1, 0.2), _by_horizon((0.1, 0.2), 2), [[0.0], [1.0], [2.0]]),  # 3 rows of x
-        ("brownian", (0.1, 0.2), (EulerConfig(dt=0.05), EulerConfig(dt=0.1, sigma=[[2.0]])), [0.0]),
     ]:
         with pytest.raises(ValueError):
             mc_semigroup(np.cos, ou, driver, x, t, 16, rng, cfg=cfg)
@@ -283,7 +243,7 @@ def test_steps_land_exactly_on_the_horizon():
         times.append(float(x[0, 0]))
         return np.ones_like(x)
 
-    drift = DriftField(b=unit, d=1, theta0=0.0, name="unit")
+    drift = DriftField(b=unit, d=1)
     for t, dt, n_steps, last in [(5.0, 0.01, 500, 0.01), (5.0, 0.03, 167, 0.02)]:
         times.clear()
         end = run_ensemble(drift, EulerConfig(dt=dt), "brownian", [0.0], t, 1, ZeroNoise())[0, 0]
@@ -291,23 +251,6 @@ def test_steps_land_exactly_on_the_horizon():
         assert len(times) == n_steps
         assert steps[-1] == pytest.approx(last, abs=1e-12)
         assert abs(end - t) < 1e-12
-
-
-@pytest.mark.parametrize("driver", ["brownian", ("stable", 1.5), ("coupled", (1.5,))])
-def test_sigma_scales_every_driver(driver):
-    # zero drift, sigma = 2: Brownian endpoints N(0, 4t), stable CF exp(-t |2 xi|^alpha / 2)
-    t, n = 1.0, 40_000
-    cfg = EulerConfig(dt=0.1, sigma=[[2.0]])
-    ends = run_ensemble(drift_registry("zero"), cfg, driver, [0.0], t, n, RngStream(30, 0))
-    coupled = driver[0] == "coupled"
-    paths = ends[..., 0] if coupled else [ends[:, 0]]
-    if driver != "brownian":
-        alpha = driver[1][0] if coupled else driver[1]
-        for xi in (0.5, 1.0):
-            cf = np.mean(np.cos(xi * paths[0]))
-            assert abs(cf - np.exp(-t * (2.0 * xi) ** alpha / 2.0)) < 4.0 / np.sqrt(n)
-    if driver == "brownian" or coupled:
-        assert np.var(paths[-1]) == pytest.approx(4.0 * t, rel=0.03)
 
 
 def _reference_blocks(b, cfg, driver, start, t, n, rng):
@@ -318,7 +261,7 @@ def _reference_blocks(b, cfg, driver, start, t, n, rng):
     horizons = isinstance(t, tuple)
     ts, cfgs = (t, cfg) if horizons else ((t,), (cfg,))
     steps = math.ceil(ts[0] / cfgs[0].dt - 1e-9)
-    d, sigma = start.shape[-1], cfgs[0].sigma
+    d = start.shape[-1]
     blocks = []
     for i in range(0, n, BLOCK_SIZE):
         size, rng_i = min(BLOCK_SIZE, n - i), rng.substream(i // BLOCK_SIZE)
@@ -335,8 +278,6 @@ def _reference_blocks(b, cfg, driver, start, t, n, rng):
             else:
                 alpha = 2.0 if driver == "brownian" else driver[1]
                 dl = sample_stable_vector(alpha, tuple(hs) if horizons else hs[0], d, rng_i, size)
-            if sigma is not None:
-                dl = dl @ sigma.T
             h = np.reshape(hs, rows[:1] + (1,) * (x.ndim - 1)) if horizons else hs[0]
             x = x + b(x.reshape(-1, d)).reshape(x.shape) * h + dl.reshape(rows + (size, d))
             remaining = [r - hk for r, hk in zip(remaining, hs)]
@@ -352,24 +293,23 @@ DRIFTS = {
 
 
 @pytest.mark.parametrize("drift_name", list(DRIFTS))
-@pytest.mark.parametrize("d, sigma", [(1, None), (1, [[2.0]]), (2, None), (2, [[2.0, 0.5], [0.0, 1.0]])],
-                         ids=["d1", "d1-sigma", "d2", "d2-sigma"])
+@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
 @pytest.mark.parametrize(
     "driver, horizons",
     [("brownian", False), (("stable", 1.5), False), (("coupled", (1.5, 1.8, 1.9)), False),
      ("brownian", True), (("stable", 1.5), True)],
     ids=["brownian", "stable", "coupled-3-alpha", "brownian-3-horizons", "stable-3-horizons"],
 )
-def test_stepper_matches_a_reference_stepper(driver, horizons, d, sigma, drift_name):
+def test_stepper_matches_a_reference_stepper(driver, horizons, d, drift_name):
     # the stepper's per-block workspaces change no bit of an ensemble, whatever b returns
-    drift = DriftField(b=DRIFTS[drift_name], d=d, theta0=0.0, name=drift_name)
+    drift = DriftField(b=DRIFTS[drift_name], d=d)
     n, rng = BLOCK_SIZE + 5, RngStream(31, 0)
     if horizons:
         t = (0.05, 0.2, 0.5)
-        cfg = tuple(EulerConfig(dt=tk / 4, sigma=sigma) for tk in t)
+        cfg = tuple(EulerConfig(dt=tk / 4) for tk in t)
         x = 0.3 * np.arange(3 * 2 * d).reshape(3, 2, d) - 0.5
     else:
-        t, cfg, x = 0.5, EulerConfig(dt=0.15, sigma=sigma), 0.5 * np.arange(2 * d).reshape(2, d) - 0.25
+        t, cfg, x = 0.5, EulerConfig(dt=0.15), 0.5 * np.arange(2 * d).reshape(2, d) - 0.25
     lead = (len(driver[1]) + 1,) if driver[0] == "coupled" else ()
     start = np.broadcast_to(x[..., None, :], lead + x.shape[:-1] + (1, d))
     blocks = _reference_blocks(drift.b, cfg, driver, start, t, n, rng)
@@ -382,7 +322,7 @@ def test_stepper_matches_a_reference_stepper(driver, horizons, d, sigma, drift_n
 
 
 def test_explosive_drift_raises_integration_error():
-    cubic = DriftField(b=lambda x: x**3, d=1, theta0=0.0, name="cubic")
+    cubic = DriftField(b=lambda x: x**3, d=1)
     with pytest.raises(IntegrationError):
         run_ensemble(cubic, EulerConfig(dt=1.0), "brownian", [5.0], 30.0, 64, RngStream(0, 0))
 

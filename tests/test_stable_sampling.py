@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stable_tv_lab import (
-    RngStream,
+from stable_tv_lab.rng import RngStream
+from stable_tv_lab.stable_sampling import (
+    _log_kanter,
     empirical_char_fn,
     robust_mean,
     sample_stable_vector,
     sample_subordinator,
 )
-from stable_tv_lab.stable_sampling import _log_kanter
 
 N = 100_000
 CF_TOL = 3.0 / np.sqrt(N)  # three-sigma band for a bounded test function
@@ -250,6 +250,7 @@ def test_robust_mean_of_constant_is_the_constant(c):
     s = np.full(256, c)
     assert robust_mean(s) == pytest.approx(c, abs=1e-12)
     assert robust_mean(s, blocks=256) == pytest.approx(c, abs=1e-12)
+    assert robust_mean(s, blocks=1) == np.mean(s)  # one block: the median of one mean is that mean
     # more blocks than samples would leave empty blocks, whose mean is NaN
     for blocks in (0, 257):
         with pytest.raises(ValueError):
