@@ -253,11 +253,11 @@ def test_steps_land_exactly_on_the_horizon():
         assert abs(end - t) < 1e-12
 
 
-def _reference_blocks(b, cfg, driver, start, t, n, rng):
+def _reference_blocks(b, cfg, driver, start, t, n, rng, sigma=None):
     """The endpoints of each block of n paths from start (run_ensemble's
     lead + (1, d) start state), in the plain expressions of a reference
     stepper: a fresh increments array every step, drawn from the lab's
-    samplers on the block's substream, and x + b(x) h + dl."""
+    samplers on the block's substream, and x + b(x) h + sigma dl."""
     horizons = isinstance(t, tuple)
     ts, cfgs = (t, cfg) if horizons else ((t,), (cfg,))
     steps = math.ceil(ts[0] / cfgs[0].dt - 1e-9)
@@ -278,6 +278,8 @@ def _reference_blocks(b, cfg, driver, start, t, n, rng):
             else:
                 alpha = 2.0 if driver == "brownian" else driver[1]
                 dl = sample_stable_vector(alpha, tuple(hs) if horizons else hs[0], d, rng_i, size)
+            if sigma is not None:
+                dl = dl @ sigma.T
             h = np.reshape(hs, rows[:1] + (1,) * (x.ndim - 1)) if horizons else hs[0]
             x = x + b(x.reshape(-1, d)).reshape(x.shape) * h + dl.reshape(rows + (size, d))
             remaining = [r - hk for r, hk in zip(remaining, hs)]
@@ -293,16 +295,27 @@ DRIFTS = {
 
 
 @pytest.mark.parametrize("drift_name", list(DRIFTS))
-@pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+@pytest.mark.parametrize("d, sigma", [(1, None), (1, [[2.0]]), (2, None), (2, [[0.0, 2.0], [-0.5, 0.0]])],
+                         ids=["d1", "d1-sigma", "d2", "d2-sigma"])
 @pytest.mark.parametrize(
     "driver, horizons",
     [("brownian", False), (("stable", 1.5), False), (("coupled", (1.5, 1.8, 1.9)), False),
      ("brownian", True), (("stable", 1.5), True)],
     ids=["brownian", "stable", "coupled-3-alpha", "brownian-3-horizons", "stable-3-horizons"],
 )
-def test_stepper_matches_a_reference_stepper(driver, horizons, d, drift_name):
-    # the stepper's per-block workspaces change no bit of an ensemble, whatever b returns
-    drift = DriftField(b=DRIFTS[drift_name], d=d)
+def test_stepper_matches_a_reference_stepper(driver, horizons, d, sigma, drift_name):
+    # the stepper's per-block workspaces change no bit of an ensemble, whatever b returns.
+    # The noise enters with sigma = I; dX = b(X) dt + sigma dL is run as Y = sigma^-1 X, which
+    # solves dY = sigma^-1 b(sigma Y) dt + dL.  Each sigma here permutes coordinates and scales
+    # them by powers of 2, so the change of variables is exact and sigma Y matches bit for bit.
+    b = DRIFTS[drift_name]
+    to_x = to_y = lambda v: v
+    if sigma is not None:
+        sigma = np.asarray(sigma)
+        sigma_inv = np.linalg.inv(sigma)
+        to_x, to_y = (lambda v: v @ sigma.T), (lambda v: v @ sigma_inv.T)
+        b = lambda y: to_y(DRIFTS[drift_name](to_x(y)))
+    drift = DriftField(b=b, d=d)
     n, rng = BLOCK_SIZE + 5, RngStream(31, 0)
     if horizons:
         t = (0.05, 0.2, 0.5)
@@ -312,11 +325,13 @@ def test_stepper_matches_a_reference_stepper(driver, horizons, d, drift_name):
         t, cfg, x = 0.5, EulerConfig(dt=0.15), 0.5 * np.arange(2 * d).reshape(2, d) - 0.25
     lead = (len(driver[1]) + 1,) if driver[0] == "coupled" else ()
     start = np.broadcast_to(x[..., None, :], lead + x.shape[:-1] + (1, d))
-    blocks = _reference_blocks(drift.b, cfg, driver, start, t, n, rng)
-    np.testing.assert_array_equal(run_ensemble(drift, cfg, driver, x, t, n, rng), np.concatenate(blocks, axis=-2))
+    blocks = _reference_blocks(DRIFTS[drift_name], cfg, driver, start, t, n, rng, sigma)
+    ends = run_ensemble(drift, cfg, driver, to_y(x), t, n, rng)
+    np.testing.assert_array_equal(to_x(ends), np.concatenate(blocks, axis=-2))
     if driver[0] != "coupled":
         h = np.cos if d == 1 else (lambda y: np.cos(y[..., 0] + 0.5 * y[..., 1]))
-        est, _ = mc_semigroup(h, drift, driver, x, t, n, rng, cfg=cfg)
+        h_y = (lambda y: h(to_x(y[..., None])[..., 0])) if d == 1 else (lambda y: h(to_x(y)))
+        est, _ = mc_semigroup(h_y, drift, driver, to_y(x), t, n, rng, cfg=cfg)
         want = sum(h(e[..., 0] if d == 1 else e).sum(axis=-1) for e in blocks) / n
         np.testing.assert_array_equal(est, want)
 
