@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -65,6 +66,20 @@ DEFAULT_PARAMS = {
 }
 
 
+def _check_param_type(key: str, value, default) -> None:
+    """Raise ValueError unless value has the type of its default: an int
+    passes for a float, a bool for no number, a list must hold such items."""
+    many = isinstance(default, list)
+    kind = numbers.Integral if isinstance(default[0] if many else default, int) else numbers.Real
+    items = value if many and isinstance(value, list) else [value]
+    if many != isinstance(value, list) or not all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in items
+    ):
+        what = "integer" if kind is numbers.Integral else "number"
+        want = f"a list of {what}s" if many else f"one {what}"
+        raise ValueError(f"params.{key}: expected {want}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     campaign: str
@@ -91,6 +106,8 @@ class ExperimentConfig:
         unknown = set(self.params) - set(DEFAULT_PARAMS[self.campaign])
         if unknown:
             raise ValueError(f"params.{unknown.pop()}: unknown key for campaign {self.campaign}")
+        for key, value in self.params.items():
+            _check_param_type(key, value, DEFAULT_PARAMS[self.campaign][key])
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.params = merged

@@ -10,13 +10,14 @@ driver alone picks the increments, exact in law at every step:
 stable_sampling's one symmetric-stable sampler, sample_stable_vector,
 gives sqrt(h) z for Brownian motion and the subordinated
 h^{1/alpha} sqrt(S_1) z, with S_1 the alpha/2-stable subordinator at unit
-time, for the stable driver in every d.  The
-coupled driver ('coupled', (alpha_1, ..., alpha_k)) moves k stable paths
-and one Brownian path on shared draws: it draws z and the k subordinators
-itself, all k from one Kanter draw, since its Brownian path needs z; its
-stable path j moves by sqrt(S_j) z and its Brownian path by sqrt(h) z,
-each exact in law, so one alpha's path is the same whichever other alpha
-run beside it (common random numbers across alpha).  Likewise a tuple of
+time, for the stable driver in every d.  The coupled driver
+('coupled', (alpha_1, ..., alpha_k)) moves k stable paths and one Brownian
+path on shared draws: it draws z and the k roots sqrt(S_j) itself, all k
+from one sample_subordinator_root call on one Kanter draw, since its
+Brownian path needs z; its stable path j moves by sqrt(S_j) z and its
+Brownian path by sqrt(h) z, each exact in law, so one alpha's path is the
+same whichever other alpha run beside it (common random numbers across
+alpha).  Likewise a tuple of
 m horizons, each with its own EulerConfig and all with the same step
 count, moves on one unit draw per step scaled to each horizon's step, so
 each horizon's paths are those of its run alone (common random numbers
@@ -43,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from stable_tv_lab.rng import RngStream
-from stable_tv_lab.stable_sampling import sample_stable_vector, sample_subordinator
+from stable_tv_lab.stable_sampling import sample_stable_vector, sample_subordinator_root
 
 BLOCK_SIZE = 4096  # paths per substream block; fixed so workers never matter
 
@@ -140,10 +141,10 @@ def _increments(kind: str, alpha, h, rng: RngStream, out: np.ndarray) -> None:
     if kind != "coupled":  # alpha = 2 for Brownian motion
         sample_stable_vector(alpha, h, d, rng, n, out=out if isinstance(h, tuple) else out[0])
         return
-    # coupled: the Gaussians first, then one subordinator per alpha; z also drives the Brownian path
+    # coupled: the Gaussians first, then one root sqrt(S_j) per alpha; z also drives the Brownian path
     z = rng.normal((n, d))
-    s = sample_subordinator(alpha, h, rng, n)
-    np.multiply(np.sqrt(s, out=s)[..., None], z, out=out[:-1])
+    root = sample_subordinator_root(alpha, h, rng, n)
+    np.multiply(root[..., None], z, out=out[:-1])
     np.multiply(np.sqrt(h), z, out=out[-1])
 
 

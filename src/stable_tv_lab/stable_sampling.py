@@ -9,15 +9,17 @@ The symmetric stable law is drawn one way only, by subordination, in
 every d: sample_stable_vector feeds both the Euler stepper and the
 sampler checks.  The subordinator uses the Kanter/Zolotarev transform for
 a *unit-scale* draw, then applies a scale factor derived from the target
-exponent.  The one-sided draw is computed in log space, scale included,
-from the half-angle tangents of its uniform angle, so it stays finite and
-positive up to alpha -> 2.  Given several alpha at once, the subordinator
-draws its uniform angle and exponential once and transforms them for each
-alpha, as the coupled Euler driver of several alpha needs.  The symmetric
-stable sampler always draws at unit time and scales the unit vector
-sqrt(S_1) z to each time it is given (by t^{1/alpha}, or sqrt(t) for
-Brownian motion), so several times cost one root per draw, as the Euler
-stepper of several horizons needs.  The scale algebra is the dominant
+exponent.  One kernel turns the uniform angle and the exponential into the
+root sqrt(S_t), scale included, through logs and rational functions of
+half-angle tangents, so it stays finite and positive up to alpha -> 2:
+sample_subordinator_root returns it, for the symmetric sampler and the
+coupled Euler driver, and sample_subordinator its square.  Given several
+alpha at once, the kernel transforms one uniform angle and exponential for
+each alpha, as the coupled Euler driver of several alpha needs.  The
+symmetric stable sampler always draws at unit time and scales the unit
+vector sqrt(S_1) z to each time it is given (by t^{1/alpha}, or sqrt(t)
+for Brownian motion), so several times cost one root per draw, as the
+Euler stepper of several horizons needs.  The scale algebra is the dominant
 failure mode, so it is pinned by CF and Laplace-transform acceptance
 tests, never trusted.
 """
@@ -40,68 +42,46 @@ def _nonzero(draw, x):
     return x
 
 
-def _log_kanter(rho, theta: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """log S for the Kanter draw S = (A(theta) / w)^a, a = (1 - rho) / rho, with
+def _kanter_root(rho, theta: np.ndarray, w: np.ndarray, half_log_c, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(c S) for the Kanter draw S = (A(theta) / w)^a, a = (1 - rho) / rho, with
     A = sin((1 - rho) theta) sin(rho theta)^(rho / (1 - rho)) / sin(theta)^(1 / (1 - rho)).
 
-    Since a + 1 = 1 / rho, log S = a log[sin((1 - rho) theta) / (sin(theta) w)]
-    + log[sin(rho theta) / sin(theta)], and in the half-angle tangents
-    t1 = tan(theta / 2), t2 = tan(rho theta / 2) both ratios are rational:
+    Since a + 1 = 1 / rho, S = X^a Y with X = sin((1 - rho) theta) / (sin(theta) w)
+    and Y = sin(rho theta) / sin(theta), and in the half-angle tangents
+    t1 = tan(theta / 2), u = tan((1 - rho) theta / 2), with
+    2 cot(theta) = (1 - t1)(1 + t1) / t1, both are rational:
 
-        log S = a log[(t1 - t2)(1 + t1 t2) / (t1 (1 + t2^2) w)]
-                + log[t2 (1 + t1^2) / (t1 (1 + t2^2))].
+        X = u (1 + t1^2) / (t1 (1 + u^2) w),   Y = (1 - u (u + 2 cot(theta))) / (1 + u^2),
 
-    numpy's AVX-512 builds vectorize float64 tan and log, not sin, so this
-    costs two of each.  t1 and t2 are finite and positive on (0, pi), and
-    every coefficient stays bounded as rho -> 1, so nothing under- or
-    overflows where the powers of A would; there t1 - t2 loses about
-    eps / (1 - rho) relative, which the factor a ~ 1 - rho takes back.
-    rho is one value, or a (k, 1) column of k values for one row each:
-    t1 and 1 + t1^2 are then computed once for all rows, and each row
-    equals, bit for bit, the call with its rho alone.  theta and w are
-    left as they are; log S goes to out when it is given.
+    so sqrt(c S) = exp(a log(X) / 2 + half_log_c) sqrt(Y), half_log_c = log(c) / 2:
+    one tan, log, exp and sqrt per value (numpy's AVX-512 builds vectorize
+    float64 tan, log and exp, not sin).  X and Y are finite and positive on
+    (0, pi), and nothing cancels as rho -> 1, where the powers of A under-
+    or overflow.  rho and half_log_c are single values, or (k, 1) columns
+    for k rows: t1, 2 cot(theta) and (1 + t1^2) / (t1 w) are then computed
+    once for all rows, and each row equals, bit for bit, the call with its
+    values alone.  theta and w are left as they are; the root goes to out
+    when it is given.
     """
     t1 = np.tan(0.5 * theta)
-    t2 = np.tan((0.5 * rho) * theta)
-    den = t2 * t2
-    den += 1.0
-    den *= t1
-    num = np.subtract(t1, t2, out=out)
-    cross = t1 * t2
-    cross += 1.0
-    num *= cross
-    num /= den
-    num /= w
-    log_s = np.log(num, out=num)
-    log_s *= (1.0 - rho) / rho
-    t1 *= t1
-    t1 += 1.0
-    ratio = np.multiply(t1, t2, out=cross)
-    ratio /= den
-    log_s += np.log(ratio, out=ratio)
-    return log_s
-
-
-def _log_unit_pos_stable(rhos, rng: RngStream, size: int) -> np.ndarray:
-    """log of size Kanter/Zolotarev draws for each rho in rhos, shape (len(rhos), size).
-
-    Row j has Laplace transform exp(-r^rho_j), rho_j in (0, 1), and every
-    row comes from one draw of (theta, w), transformed for all rows in one
-    call of the kernel.  theta = 0 gives a NaN and w = 0 an infinite log,
-    whatever rho.  Both are null events (probability ~2^-53 each), so when
-    a log is not finite the exact zeros of theta and w are redrawn from the
-    same stream and the kernel applied again: rejection, which leaves the
-    law unchanged.  The check is one max per array.
-    """
-    theta = rng.uniform(0.0, np.pi, size)
-    w = rng.exponential(size)
-    rho = np.array(rhos, dtype=float)[:, None]
-    log_s = _log_kanter(rho, theta, w, out=np.empty((len(rhos), size)))
-    if log_s.size and not math.isfinite(log_s.max()):
-        theta = _nonzero(lambda k: rng.uniform(0.0, np.pi, k), theta)
-        w = _nonzero(rng.exponential, w)
-        _log_kanter(rho, theta, w, out=log_s)
-    return log_s
+    cot2 = (1.0 - t1) * (1.0 + t1) / t1
+    q = (t1 * t1 + 1.0) / (t1 * w)
+    u = np.multiply(0.5 * (1.0 - rho), theta, out=out)
+    np.tan(u, out=u)
+    v = u * u
+    v += 1.0
+    y = u + cot2
+    y *= u
+    np.subtract(1.0, y, out=y)
+    y /= v
+    u *= q
+    u /= v
+    root = np.log(u, out=u)
+    root *= 0.5 * (1.0 - rho) / rho
+    root += half_log_c
+    np.exp(root, out=root)
+    root *= np.sqrt(y, out=y)
+    return root
 
 
 def _times(t) -> tuple:
@@ -115,19 +95,26 @@ def _times(t) -> tuple:
     return ts
 
 
-def sample_subordinator(alpha, t: float, rng: RngStream, size: int) -> np.ndarray:
-    """size draws of S_t, alpha in (0, 2), with Laplace transform exp(-t (2r)^{alpha/2} / 2).
+def sample_subordinator_root(alpha, t: float, rng: RngStream, size: int) -> np.ndarray:
+    """size draws of sqrt(S_t), alpha in (0, 2), where S_t has Laplace transform
+    exp(-t (2r)^{alpha/2} / 2).
 
     alpha is one value, giving shape (size,), or a tuple of k values,
-    giving (k, size): row j is S_t for alpha[j].  All rows come from one
-    Kanter draw (theta, w), so each row equals, bit for bit, the draw for
-    its alpha alone on the same stream (common random numbers).  t is one
-    time; a tuple of times is refused (sample_stable_vector scales one unit
-    draw to several times).
+    giving (k, size): row j is sqrt(S_t) for alpha[j].  All rows come from
+    one Kanter draw (theta, w), transformed for every row in one call of
+    the kernel, so each row equals, bit for bit, the draw for its alpha
+    alone on the same stream (common random numbers).  t is one time; a
+    tuple of times is refused (sample_stable_vector scales one unit draw to
+    several times).
 
     E exp(-r c S) = exp(-(cr)^rho) for a unit Kanter draw S, so the scale
     c must satisfy c^rho = t 2^{rho - 1} with rho = alpha/2, i.e.
-    c = t^{2/alpha} 2^{1 - 2/alpha}.  The draw is exp(log c + log S).
+    c = t^{2/alpha} 2^{1 - 2/alpha}; the kernel folds log(c) / 2 into its
+    one exp.  theta = 0 gives a NaN and w = 0 an infinite root, whatever
+    alpha.  Both are null events (probability ~2^-53 each), so when a root
+    is not finite the exact zeros of theta and w are redrawn from the same
+    stream and the kernel applied again: rejection, which leaves the law
+    unchanged.  The check is one max per array.
     """
     alphas = alpha if isinstance(alpha, tuple) else (alpha,)
     if not alphas:
@@ -137,11 +124,22 @@ def sample_subordinator(alpha, t: float, rng: RngStream, size: int) -> np.ndarra
             raise ValueError(f"alpha must be in (0, 2), got {a}")
     if isinstance(t, tuple) or not t > 0.0:
         raise ValueError(f"t must be one positive time, got {t!r}")
-    log_s = _log_unit_pos_stable([a / 2.0 for a in alphas], rng, size)
-    for row, a in zip(log_s, alphas):
-        row += (2.0 / a) * math.log(t) + (1.0 - 2.0 / a) * math.log(2.0)
-    s = np.exp(log_s, out=log_s)
-    return s if isinstance(alpha, tuple) else s[0]
+    rho = np.array(alphas, dtype=float)[:, None] / 2.0
+    half_log_c = 0.5 * (math.log(t) / rho + (1.0 - 1.0 / rho) * math.log(2.0))
+    theta = rng.uniform(0.0, np.pi, size)
+    w = rng.exponential(size)
+    root = _kanter_root(rho, theta, w, half_log_c, out=np.empty((len(alphas), size)))
+    if root.size and not math.isfinite(root.max()):
+        theta = _nonzero(lambda k: rng.uniform(0.0, np.pi, k), theta)
+        w = _nonzero(rng.exponential, w)
+        _kanter_root(rho, theta, w, half_log_c, out=root)
+    return root if isinstance(alpha, tuple) else root[0]
+
+
+def sample_subordinator(alpha, t: float, rng: RngStream, size: int) -> np.ndarray:
+    """size draws of S_t, the squares of sample_subordinator_root's draws, with the same arguments."""
+    root = sample_subordinator_root(alpha, t, rng, size)
+    return np.square(root, out=root)
 
 
 def sample_stable_vector(
@@ -154,8 +152,8 @@ def sample_stable_vector(
     t^{2/alpha} S_1; the Brownian case alpha = 2 draws no subordinator and
     returns sqrt(t) z.  A tuple of m times gives (m, n, d): row k is the
     unit draw scaled to t_k, so it equals, bit for bit, the single-t call on
-    the same stream, and m times cost one exp and one sqrt per draw, as the
-    Euler stepper of several horizons needs.  The result goes to out when
+    the same stream, and m times cost one root per draw, as the Euler
+    stepper of several horizons needs.  The result goes to out when
     it is given, an array of that shape.
     """
     if d < 1:
@@ -167,8 +165,7 @@ def sample_stable_vector(
         z = rng.normal((n, d))
         scales = [math.sqrt(tk) for tk in ts]
     else:
-        s = sample_subordinator(alpha, 1.0, rng, n)
-        root = np.sqrt(s, out=s)
+        root = sample_subordinator_root(alpha, 1.0, rng, n)
         z = rng.normal((n, d))
         z *= root[:, None]
         scales = [tk ** (1.0 / alpha) for tk in ts]

@@ -173,6 +173,17 @@ def test_cli_config_errors_exit_with_usage_status(bad, tmp_path, capsys, monkeyp
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("campaign, params", [("constants", {"d": "x"}), ("verify-samplers", {"n": "1000"})])
+def test_cli_rejects_a_param_of_the_wrong_type(campaign, params, tmp_path, capsys):
+    # each params value must have its default's type; a bad one is a usage error, status 2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"campaign": campaign, "params": params}))
+    with pytest.raises(SystemExit) as exc:
+        main([campaign, "--config", str(path)])
+    assert exc.value.code == 2
+    assert f"params.{next(iter(params))}" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_campaign():
     with pytest.raises(SystemExit):
         main(["definitely-not-a-campaign"])

@@ -18,7 +18,7 @@ from stable_tv_lab.sde import (
     mc_semigroup,
     run_ensemble,
 )
-from stable_tv_lab.stable_sampling import sample_stable_vector, sample_subordinator
+from stable_tv_lab.stable_sampling import sample_stable_vector, sample_subordinator_root
 
 
 def test_registry_contents_and_errors():
@@ -273,8 +273,8 @@ def _reference_blocks(b, cfg, driver, start, t, n, rng, sigma=None):
             hs = [min(c.dt, r) for c, r in zip(cfgs, remaining)]
             if driver[0] == "coupled":
                 z = rng_i.normal((size, d))
-                s = sample_subordinator(driver[1], hs[0], rng_i, size)
-                dl = np.concatenate([np.sqrt(s)[..., None] * z, [np.sqrt(hs[0]) * z]])
+                root = sample_subordinator_root(driver[1], hs[0], rng_i, size)
+                dl = np.concatenate([root[..., None] * z, [np.sqrt(hs[0]) * z]])
             else:
                 alpha = 2.0 if driver == "brownian" else driver[1]
                 dl = sample_stable_vector(alpha, tuple(hs) if horizons else hs[0], d, rng_i, size)

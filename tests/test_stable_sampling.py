@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from stable_tv_lab.rng import RngStream
 from stable_tv_lab.stable_sampling import (
-    _log_kanter,
+    _kanter_root,
     empirical_char_fn,
     robust_mean,
     sample_stable_vector,
     sample_subordinator,
+    sample_subordinator_root,
 )
 
 N = 100_000
@@ -39,6 +40,9 @@ def test_spec_validation():
             sample_subordinator(alphas, 1.0, rng, 10)
     with pytest.raises(ValueError):  # the subordinator takes one t
         sample_subordinator(1.5, (0.1, 0.2), rng, 10)
+    for alpha, t in [(2.0, 1.0), ((), 1.0), (1.5, 0.0), (1.5, (0.1, 0.2))]:
+        with pytest.raises(ValueError):
+            sample_subordinator_root(alpha, t, rng, 10)
     for alpha in (1.5, 2.0):
         for ts in [(), (0.1, -1.0)]:
             with pytest.raises(ValueError):
@@ -83,6 +87,8 @@ def test_subordinators_of_several_alpha_share_one_kanter_draw():
     assert many.shape == (3, 1000)
     for alpha, row in zip(alphas, many):
         np.testing.assert_array_equal(row, sample_subordinator(alpha, 0.3, RngStream(7, 4), 1000))
+    roots = sample_subordinator_root(alphas, 0.3, RngStream(7, 4), 1000)
+    np.testing.assert_array_equal(np.square(roots), many)  # sample_subordinator squares the roots
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
@@ -127,36 +133,40 @@ def _textbook_kanter(rho, theta, w):
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 1.9, 1.95])
 def test_log_kanter_matches_the_power_form(alpha):
     # below alpha ~ 1.97 the power form neither under- nor overflows, so the
-    # two agree to round-off on the same (theta, w)
+    # square of the root kernel and the power form agree to round-off on the same (theta, w)
     gen = np.random.default_rng(5)
     theta = gen.uniform(0.0, np.pi, 100_000)
     w = gen.standard_exponential(100_000)
     want = _textbook_kanter(alpha / 2.0, theta, w)
-    got = np.exp(_log_kanter(alpha / 2.0, theta, w))
+    got = _kanter_root(alpha / 2.0, theta, w, 0.0) ** 2
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-def _log_kanter_one_rho(rho, theta, w):
+def _kanter_root_one_rho(rho, theta, w, half_log_c):
     """The kernel for one rho, in the operation order of the batched kernel's rows."""
     t1 = np.tan(0.5 * theta)
-    t2 = np.tan((0.5 * rho) * theta)
-    den = (t2 * t2 + 1.0) * t1
-    log_s = np.log((t1 - t2) * (t1 * t2 + 1.0) / den / w) * ((1.0 - rho) / rho)
-    return log_s + np.log((t1 * t1 + 1.0) * t2 / den)
+    cot2 = (1.0 - t1) * (1.0 + t1) / t1
+    q = (t1 * t1 + 1.0) / (t1 * w)
+    u = np.tan((0.5 * (1.0 - rho)) * theta)
+    v = u * u + 1.0
+    y = (1.0 - (u + cot2) * u) / v
+    log_x = np.log(u * q / v) * (0.5 * (1.0 - rho) / rho) + half_log_c
+    return np.exp(log_x) * np.sqrt(y)
 
 
 def test_batched_kanter_rows_equal_a_loop_over_rho():
-    # one (k, 1) column of rho shares tan(theta / 2) and 1 + tan^2 across rows,
-    # and each row keeps the bits of the single-rho kernel
+    # one (k, 1) column of rho and of the scale shares tan(theta / 2), 2 cot(theta) and
+    # (1 + tan^2) / (tan w) across rows, and each row keeps the bits of the single-rho kernel
     gen = np.random.default_rng(12)
     theta = gen.uniform(0.0, np.pi, 50_000)
     w = gen.standard_exponential(50_000)
     rhos = [0.5, 0.85, 0.9, 0.925, 0.95, 0.9995]
-    batched = _log_kanter(np.array(rhos)[:, None], theta, w)
-    loop = np.array([_log_kanter_one_rho(rho, theta, w) for rho in rhos])
+    half_log_cs = [0.0, -0.1, 0.2, -0.3, 0.4, -0.5]
+    batched = _kanter_root(np.array(rhos)[:, None], theta, w, np.array(half_log_cs)[:, None])
+    loop = np.array([_kanter_root_one_rho(rho, theta, w, c) for rho, c in zip(rhos, half_log_cs)])
     assert batched.shape == (len(rhos), theta.size)
     assert np.array_equal(batched.view(np.int64), loop.view(np.int64))
-    assert np.array_equal(_log_kanter(0.9, theta, w).view(np.int64), loop[2].view(np.int64))
+    assert np.array_equal(_kanter_root(0.9, theta, w, 0.2).view(np.int64), loop[2].view(np.int64))
 
 
 def _mp_log_kanter(rho, theta, w):
@@ -178,7 +188,7 @@ def test_log_kanter_matches_a_50_digit_oracle(rho):
     theta_corners = np.repeat([np.pi * 2.0**-53, np.pi * (1.0 - 2.0**-53)], 2)
     theta = np.concatenate([gen.uniform(0.0, np.pi, 200), theta_corners])
     w = np.concatenate([gen.standard_exponential(200), np.tile([2.0**-64, 40.0], 2)])
-    got = _log_kanter(rho, theta, w)
+    got = 2.0 * np.log(_kanter_root(rho, theta, w, 0.0))  # log S, from the root kernel at c = 1
     # rounding rho theta to a float64 moves log S by up to 2^-53 kappa, with
     # kappa the condition number of log S in rho theta: ~2000 at theta -> pi,
     # rho = 0.9995, and below 1 at small theta
@@ -225,10 +235,11 @@ def test_kanter_redraws_exact_zeros():
         def exponential(self, size):
             return self._edge("exponential", self.rng.exponential(size))
 
-    for alpha in (1.5, (1.5, 1.9)):  # one redraw serves every alpha
-        for size in (1, 64):
-            s = sample_subordinator(alpha, 1.0, ZerosFirst(), size)
-            assert np.all(np.isfinite(s)) and np.all(s > 0.0)
+    for sampler in (sample_subordinator_root, sample_subordinator):
+        for alpha in (1.5, (1.5, 1.9)):  # one redraw serves every alpha
+            for size in (1, 64):
+                s = sampler(alpha, 1.0, ZerosFirst(), size)
+                assert np.all(np.isfinite(s)) and np.all(s > 0.0)
 
 
 def test_sampler_replays_with_same_stream():
