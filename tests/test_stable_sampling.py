@@ -191,7 +191,8 @@ def test_log_kanter_matches_a_50_digit_oracle(rho):
     got = 2.0 * np.log(_kanter_root(rho, theta, w, 0.0))  # log S, from the root kernel at c = 1
     # rounding rho theta to a float64 moves log S by up to 2^-53 kappa, with
     # kappa the condition number of log S in rho theta: ~2000 at theta -> pi,
-    # rho = 0.9995, and below 1 at small theta
+    # rho = 0.9995, and below 1 at small theta.  The kernel rounds (1 - rho) theta
+    # instead, in which log S has condition number a kappa <= kappa
     a, phi = (1.0 - rho) / rho, rho * theta
     kappa = phi * np.abs(1.0 / np.tan(phi) - a / np.tan(theta - phi))
     for g, th, ww, k in zip(got, theta, w, kappa):
